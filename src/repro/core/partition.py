@@ -38,16 +38,19 @@ hope:
   split at its first and last boundary visit, with the prefix inside
   ``interior_i ∪ {b}`` and the suffix inside ``interior_j ∪ {b'}``.
   Distances are clipped at ``k+1`` (sums then compare against ``k``
-  exactly), and the ``exit × closure`` half is precomposed per shard so
-  query-time stitching is one ``(m, |B|)`` add-min.  For ``k=None``
-  the clipped tables are 0/1 reachability rows packed into uint64
-  bitsets and the verdict is one :func:`repro.bitsets.ops.and_any`
-  join — the same kernel the batch engine uses.
+  exactly) and stored in the narrowest unsigned dtype that holds two
+  of them.  The ``exit × closure`` half is precomposed per shard one
+  boundary vertex at a time, touching only the rows that reach it, so
+  query-time stitching is one ``(m, |B|)`` add-min over two row
+  gathers.  For ``k=None`` every table is packed uint64 reachability
+  rows — built from the BFS triples directly, never as a dense
+  matrix — and the verdict is one :func:`repro.bitsets.ops.and_any`
+  join, the same kernel the batch engine uses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,27 +81,47 @@ def default_hub_count(n: int) -> int:
     return max(4, int(np.ceil(np.sqrt(max(n, 1)))))
 
 
-def _clip_cap(k: int | None) -> int:
-    """Stored-distance ceiling: ``cap`` means "no path within budget".
+def _budget_dtype(k: int) -> np.dtype:
+    """Narrowest unsigned dtype holding a stitch sum of two clipped budgets."""
+    return np.min_scalar_type(2 * (k + 1))
 
-    Finite ``k``: distances are clipped at ``k+1`` — for any split of a
+
+def _reach(
+    g: DiGraph,
+    sources: np.ndarray,
+    k: int | None,
+    direction: str = "out",
+    emit: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(src, dst, dist)`` BFS triples plus each source's own ``dist=0`` pair."""
+    src, dst, dist = bfs_distances_blocked(
+        g, sources, k=k, direction=direction, emit=emit
+    )
+    zero = np.zeros(len(sources), dtype=np.int64)
+    return (
+        np.concatenate([src, sources]),
+        np.concatenate([dst, sources]),
+        np.concatenate([dist, zero]),
+    )
+
+
+def _portal_table(
+    rows: np.ndarray, cols: np.ndarray, dist: np.ndarray, shape: tuple, k: int | None
+) -> np.ndarray:
+    """A ``shape[0]``-row portal table holding ``dist`` at ``(rows, cols)``.
+
+    Finite ``k``: clipped budgets in :func:`_budget_dtype`, where the
+    ceiling ``k+1`` means "no path within budget".  For any split of a
     path into clipped parts, ``sum <= k`` iff the true sum is ``<= k``
     (a part exceeding ``k`` forces both sums past ``k``; otherwise every
-    part is exact).  ``k=None``: only reachability matters, so finite
-    distances collapse to 0 and ``cap=1`` marks unreachable; the stitch
-    threshold becomes 0.
+    part is exact).  ``k=None``: only reachability matters, so the table
+    is packed uint64 bit rows with bit ``cols[i]`` set in row ``rows[i]``.
     """
-    return 1 if k is None else k + 1
-
-
-def _threshold(k: int | None) -> int:
-    return 0 if k is None else k
-
-
-def _clip(dist: np.ndarray, k: int | None) -> np.ndarray:
     if k is None:
-        return np.zeros(len(dist), dtype=np.int32)
-    return np.minimum(dist, k + 1).astype(np.int32)
+        return ops.bit_matrix(rows, cols, *shape)
+    table = np.full(shape, k + 1, dtype=_budget_dtype(k))
+    table[rows, cols] = dist
+    return table
 
 
 def _assign_components(
@@ -108,8 +131,9 @@ def _assign_components(
 
     Components are placed largest-first onto the shard they share the
     most edges with (affinity), subject to a ``balance`` cap on shard
-    size; ties and affinity-free components go to the least-loaded
-    shard.  Returns ``shard_of_component``.
+    size; ties go to the less-loaded, then the lower-numbered shard, and
+    a component no shard has room for goes to the least-loaded one.
+    Returns ``shard_of_component``.
     """
     num_comps = len(sizes)
     if num_shards == 1:
@@ -123,30 +147,32 @@ def _assign_components(
     key, weight = np.unique(lo * num_comps + hi, return_counts=True)
     heads = np.concatenate([key // num_comps, key % num_comps])
     tails = np.concatenate([key % num_comps, key // num_comps])
-    weight = np.concatenate([weight, weight])
     order = np.argsort(heads, kind="stable")
-    heads, tails, weight = heads[order], tails[order], weight[order]
+    tails = tails[order].tolist()
+    weight = np.concatenate([weight, weight])[order].tolist()
     indptr = np.zeros(num_comps + 1, dtype=np.int64)
     indptr[1:] = np.cumsum(np.bincount(heads, minlength=num_comps))
+    indptr = indptr.tolist()
 
     cap = int(np.ceil(balance * g.n / num_shards))
-    load = np.zeros(num_shards, dtype=np.int64)
-    affinity = np.zeros((num_comps, num_shards), dtype=np.float64)
-    shard_of_comp = np.full(num_comps, -1, dtype=np.int64)
+    size_of = sizes.tolist()
+    load = [0] * num_shards
+    affinity = [[0] * num_shards for _ in range(num_comps)]
+    shard_of_comp = [-1] * num_comps
     for c in np.argsort(-sizes, kind="stable").tolist():
-        fits = load + sizes[c] <= cap
-        if fits.any():
-            candidates = np.flatnonzero(fits)
-            # Highest affinity wins; break ties toward the emptier shard.
-            ranking = np.lexsort((load[candidates], -affinity[c, candidates]))
-            best = int(candidates[ranking[0]])
-        else:  # one component bigger than the cap — someone must take it
-            best = int(np.argmin(load))
+        size, row, best = size_of[c], affinity[c], -1
+        for s in range(num_shards):  # strict ">" keeps the lowest id of equals
+            if load[s] + size <= cap and (
+                best < 0 or (row[s], -load[s]) > (row[best], -load[best])
+            ):
+                best = s
+        if best < 0:  # one component bigger than the cap — someone must take it
+            best = load.index(min(load))
         shard_of_comp[c] = best
-        load[best] += sizes[c]
-        span = slice(int(indptr[c]), int(indptr[c + 1]))
-        affinity[tails[span], best] += weight[span]
-    return shard_of_comp
+        load[best] += size
+        for j in range(indptr[c], indptr[c + 1]):
+            affinity[tails[j]][best] += weight[j]
+    return np.asarray(shard_of_comp, dtype=np.int64)
 
 
 def _boundary_mask(
@@ -179,63 +205,35 @@ def _boundary_mask(
     return boundary
 
 
-def _portal_matrix(
-    sub: DiGraph, boundary_local: np.ndarray, k: int | None, direction: str
+def _compose(
+    b_of: np.ndarray,
+    rows: np.ndarray,
+    dist: np.ndarray,
+    closure: np.ndarray,
+    n_local: int,
+    k: int | None,
 ) -> np.ndarray:
-    """Clipped distance matrix ``(|B|, n_local)`` from/into the boundary.
+    """Precompose ``exit ∘ closure`` into an ``n_local``-row portal table.
 
-    ``direction='out'`` gives entry budgets (boundary -> vertex);
-    ``direction='in'`` gives exit budgets transposed (vertex -> boundary
-    read as ``[b, v]``).
+    Local vertex ``rows[i]`` reaches boundary position ``b_of[i]`` in
+    ``dist[i]`` hops.  Each boundary vertex ``b`` updates only the rows
+    that reach it — ``out[rows] = min(out[rows], dist + closure[b])``,
+    or an OR of ``closure[b]``'s bit row for ``k=None`` — so the cost
+    follows the exit triples, not ``n_local · |B|²``.  ``out`` starts at
+    the ceiling ``k+1`` and only decreases, so it needs no re-clipping.
     """
-    cap = _clip_cap(k)
-    mat = np.full((len(boundary_local), sub.n), cap, dtype=np.int32)
-    if len(boundary_local):
-        src, dst, dist = bfs_distances_blocked(
-            sub, boundary_local, k=k, direction=direction
-        )
-        mat[np.searchsorted(boundary_local, src), dst] = _clip(dist, k)
-        mat[np.arange(len(boundary_local)), boundary_local] = 0
-    return mat
-
-
-def _closure_matrix(g: DiGraph, boundary: np.ndarray, k: int | None) -> np.ndarray:
-    """Clipped boundary-to-boundary distances over the *global* graph."""
-    cap = _clip_cap(k)
-    size = len(boundary)
-    mat = np.full((size, size), cap, dtype=np.int32)
-    if size:
-        emit = np.zeros(g.n, dtype=bool)
-        emit[boundary] = True
-        src, dst, dist = bfs_distances_blocked(g, boundary, k=k, emit=emit)
-        mat[np.searchsorted(boundary, src), np.searchsorted(boundary, dst)] = _clip(
-            dist, k
-        )
-        np.fill_diagonal(mat, 0)
-    return mat
-
-
-def _compose_exit(
-    exit_by_boundary: np.ndarray, closure: np.ndarray, cap: int
-) -> np.ndarray:
-    """Min-plus precompose ``exit × closure`` -> ``(n_local, |B|)``.
-
-    ``out[v, b'] = clip(min over b of exit(v, b) + closure(b, b'))`` —
-    valid to precompose (and re-clip) by min-plus associativity and the
-    monotonicity of clipping, so the query-time stitch is a single
-    ``(m, |B|)`` add-min against the target shard's entry table.
-    """
-    num_b, n_local = exit_by_boundary.shape
-    out = np.full((n_local, num_b), cap, dtype=np.int32)
-    if num_b == 0 or n_local == 0:
-        return out
-    exits = exit_by_boundary.T  # (n_local, |B|)
-    # (chunk, |B|, |B|) workspace, bounded ~16 MB.
-    chunk = max(1, (1 << 22) // max(1, num_b * num_b))
-    for start in range(0, n_local, chunk):
-        block = exits[start : start + chunk]
-        combined = block[:, :, None] + closure[None, :, :]
-        np.minimum(combined.min(axis=1), cap, out=out[start : start + chunk])
+    num_b = len(closure)
+    out = _portal_table(rows[:0], b_of[:0], dist[:0], (n_local, num_b), k)  # no paths
+    dist = dist.astype(out.dtype)  # keep the add-min temporaries narrow
+    order = np.argsort(b_of, kind="stable")
+    bounds = np.searchsorted(b_of[order], np.arange(num_b + 1)).tolist()
+    for b in range(num_b):
+        sel = order[bounds[b] : bounds[b + 1]]
+        hit = rows[sel]
+        if k is None:
+            out[hit] |= closure[b]
+        else:
+            out[hit] = np.minimum(out[hit], dist[sel, None] + closure[b])
     return out
 
 
@@ -246,16 +244,19 @@ class Shard:
     ``vertex_map`` is the ascending global-id array of the shard's
     vertices (its interior plus the full boundary set); ``index`` is a
     complete :class:`KReachIndex` over the induced subgraph in local
-    ids.  ``entry[b, v]`` / ``exit_closure[v, b']`` are the clipped
-    portal budgets used by the cross-shard stitch.
+    ids.  ``entry`` and ``exit_closure`` are the cross-shard stitch's
+    portal tables, one row per local vertex ``v``: ``entry[v, b]`` is
+    the budget from boundary vertex ``b`` into ``v`` and
+    ``exit_closure[v, b']`` the budget from ``v`` out through the
+    boundary closure to ``b'``.  Finite ``k`` stores clipped budgets in
+    the narrowest unsigned dtype that holds ``2·(k+1)``; ``k=None``
+    stores packed uint64 reachability rows of ``words_for(|B|)`` words.
     """
 
     index: KReachIndex
     vertex_map: np.ndarray
-    entry: np.ndarray  # (|B|, n_local) int32
-    exit_closure: np.ndarray  # (n_local, |B|) int32
-    _exit_bits: np.ndarray | None = field(default=None, repr=False)
-    _entry_bits: np.ndarray | None = field(default=None, repr=False)
+    entry: np.ndarray
+    exit_closure: np.ndarray
 
     @property
     def n(self) -> int:
@@ -264,24 +265,6 @@ class Shard:
     def to_local(self, vertices: np.ndarray) -> np.ndarray:
         """Map global vertex ids into this shard's local id space."""
         return np.searchsorted(self.vertex_map, vertices)
-
-    def exit_bits(self) -> np.ndarray:
-        """Packed ``exit_closure == 0`` rows (n-reach stitch, lazy)."""
-        if self._exit_bits is None:
-            rows, cols = np.nonzero(self.exit_closure == 0)
-            self._exit_bits = ops.bit_matrix(
-                rows, cols, self.exit_closure.shape[0], self.exit_closure.shape[1]
-            )
-        return self._exit_bits
-
-    def entry_bits(self) -> np.ndarray:
-        """Packed ``entry[:, v] == 0`` rows (n-reach stitch, lazy)."""
-        if self._entry_bits is None:
-            cols, rows = np.nonzero(self.entry == 0)
-            self._entry_bits = ops.bit_matrix(
-                rows, cols, self.entry.shape[1], self.entry.shape[0]
-            )
-        return self._entry_bits
 
 
 class ShardedKReach:
@@ -318,12 +301,7 @@ class ShardedKReach:
     def from_manifest(cls, manifest) -> "ShardedKReach":
         """Assemble from a :func:`repro.core.serialize.load_sharded` result."""
         shards = [
-            Shard(
-                index=index,
-                vertex_map=np.asarray(vmap, dtype=np.int64),
-                entry=np.asarray(entry, dtype=np.int32),
-                exit_closure=np.asarray(exitc, dtype=np.int32),
-            )
+            Shard(index, np.asarray(vmap, dtype=np.int64), entry, exitc)
             for index, vmap, entry, exitc in zip(
                 manifest.indexes,
                 manifest.vertex_maps,
@@ -336,7 +314,7 @@ class ShardedKReach:
             k=manifest.k,
             boundary=np.asarray(manifest.boundary, dtype=np.int64),
             shard_of=np.asarray(manifest.shard_of, dtype=np.int64),
-            closure=np.asarray(manifest.closure, dtype=np.int32),
+            closure=manifest.closure,
             shards=shards,
         )
 
@@ -380,17 +358,12 @@ class ShardedKReach:
             target_shard = self.shards[int(key) % self.num_shards]
             local_s = source_shard.to_local(s[sel])
             local_t = target_shard.to_local(t[sel])
+            exits = source_shard.exit_closure[local_s]
+            entries = target_shard.entry[local_t]
             if self.k is None:
-                out[sel] = ops.and_any(
-                    source_shard.exit_bits()[local_s],
-                    target_shard.entry_bits()[local_t],
-                )
+                out[sel] = ops.and_any(exits, entries)
             else:
-                budgets = (
-                    source_shard.exit_closure[local_s]
-                    + target_shard.entry[:, local_t].T
-                )
-                out[sel] = budgets.min(axis=1) <= self.k
+                out[sel] = (exits + entries).min(axis=1) <= self.k
         return out
 
     def query_batch(self, pairs, *, engine: str = "auto") -> np.ndarray:
@@ -469,8 +442,16 @@ def partition_kreach(
     base_cover = vertex_cover_2approx(graph) if cover is None else cover
     full_cover = frozenset(base_cover) | set(boundary.tolist())
     global_index = KReachIndex(graph, k, cover=full_cover)
-    closure = _closure_matrix(graph, boundary, k)
-    cap = _clip_cap(k)
+    emit = np.zeros(graph.n, dtype=bool)
+    emit[boundary] = True
+    src, dst, dist = _reach(graph, boundary, k, emit=emit)
+    closure = _portal_table(
+        np.searchsorted(boundary, src),
+        np.searchsorted(boundary, dst),
+        dist,
+        (len(boundary), len(boundary)),
+        k,
+    )
 
     heads, targets, weights = global_index.index_graph.triples()
     cover_flags = np.zeros(graph.n, dtype=bool)
@@ -503,16 +484,15 @@ def partition_kreach(
             index_graph=sliced,
         )
         boundary_local = np.searchsorted(vertex_map, boundary)
-        entry = _portal_matrix(sub, boundary_local, k, "out")
-        exit_by_boundary = _portal_matrix(sub, boundary_local, k, "in")
-        shards.append(
-            Shard(
-                index=index,
-                vertex_map=vertex_map,
-                entry=entry,
-                exit_closure=_compose_exit(exit_by_boundary, closure, cap),
-            )
+        src, dst, dist = _reach(sub, boundary_local, k)
+        entry = _portal_table(
+            dst, np.searchsorted(boundary_local, src), dist, (sub.n, len(boundary)), k
         )
+        src, dst, dist = _reach(sub, boundary_local, k, "in")
+        exit_closure = _compose(
+            np.searchsorted(boundary_local, src), dst, dist, closure, sub.n, k
+        )
+        shards.append(Shard(index, vertex_map, entry, exit_closure))
     return ShardedKReach(
         n=graph.n,
         k=k,

@@ -1341,7 +1341,7 @@ def verify_file(path: str | os.PathLike) -> dict:
 #: index files + the routing/boundary arrays, each independently
 #: loadable and individually CRC32'd by the manifest.
 _SHARD_FORMAT = "kreach-shards"
-_SHARD_FORMAT_VERSION = 1
+_SHARD_FORMAT_VERSION = 2
 _SHARD_MANIFEST_NAME = "manifest.json"
 
 
@@ -1384,8 +1384,11 @@ class ShardManifest:
     ``indexes[i]`` is shard ``i``'s :class:`KReachIndex` (each opened
     zero-copy via :func:`load_mmap` from ``shard_paths[i]``); the
     routing arrays (``boundary``, ``shard_of``, ``closure``) and the
-    per-shard portal tables are ``.npy``-memory-mapped.  Feed the whole
-    object to
+    per-shard portal tables (``entries[i]``, ``exit_closures[i]``: one
+    row per local vertex, clipped budgets for finite ``k`` or packed
+    uint64 reachability rows for ``k=None`` — see
+    :class:`repro.core.partition.Shard`) are ``.npy``-memory-mapped.
+    Feed the whole object to
     :meth:`repro.core.partition.ShardedKReach.from_manifest`.
     """
 
@@ -1410,10 +1413,13 @@ def save_sharded(sharded, directory: str | os.PathLike) -> Path:
     Layout: one ``manifest.json`` (atomic-written, carrying a CRC32 of
     its own canonical body plus per-file byte counts and CRC32s), N
     ``shard-%03d.kr5`` v5 files — each independently
-    :func:`load_mmap`-able — and ``.npy`` routing/portal arrays.  Every
-    file is written through the same temp+fsync+rename discipline as
-    v5, and the manifest is written **last**, so a crash mid-save never
-    leaves a manifest naming files that do not match it.
+    :func:`load_mmap`-able — and ``.npy`` arrays: ``boundary``,
+    ``shard_of`` and ``closure`` once, ``vmap-%03d``,
+    ``portal-entry-%03d`` and ``portal-exit-%03d`` per shard, each in
+    the dtype it is served in (format version 2).  Every file is
+    written through the same temp+fsync+rename discipline as v5, and
+    the manifest is written **last**, so a crash mid-save never leaves
+    a manifest naming files that do not match it.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -1431,7 +1437,7 @@ def save_sharded(sharded, directory: str | os.PathLike) -> Path:
 
     put_npy("boundary.npy", np.asarray(sharded.boundary, np.int64), "boundary", None)
     put_npy("shard_of.npy", np.asarray(sharded.shard_of, np.int64), "shard_of", None)
-    put_npy("closure.npy", np.asarray(sharded.closure, np.int32), "closure", None)
+    put_npy("closure.npy", sharded.closure, "closure", None)
     for i, shard in enumerate(sharded.shards):
         index_name = shard_index_name(i)
         save_mmap(shard.index, directory / index_name)
@@ -1444,10 +1450,8 @@ def save_sharded(sharded, directory: str | os.PathLike) -> Path:
         }
         put_npy(f"vmap-{i:03d}.npy", np.asarray(shard.vertex_map, np.int64),
                 "vertex_map", i)
-        put_npy(f"entry-{i:03d}.npy", np.asarray(shard.entry, np.int32),
-                "entry", i)
-        put_npy(f"exitc-{i:03d}.npy", np.asarray(shard.exit_closure, np.int32),
-                "exit_closure", i)
+        put_npy(f"portal-entry-{i:03d}.npy", shard.entry, "entry", i)
+        put_npy(f"portal-exit-{i:03d}.npy", shard.exit_closure, "exit_closure", i)
 
     manifest = {
         "format": _SHARD_FORMAT,
@@ -1535,6 +1539,10 @@ def load_sharded(
         return np.load(directory / name, mmap_mode="r")
 
     num_shards = int(manifest["num_shards"])
+
+    def per_shard(pattern: str) -> list[np.ndarray]:
+        return [load_npy(pattern % i) for i in range(num_shards)]
+
     stored_k = int(manifest["k"])
     shard_paths = [directory / shard_index_name(i) for i in range(num_shards)]
     return ShardManifest(
@@ -1547,11 +1555,9 @@ def load_sharded(
         closure=load_npy("closure.npy"),
         shard_paths=shard_paths,
         indexes=[load_mmap(path, mode=mode) for path in shard_paths],
-        vertex_maps=[load_npy(f"vmap-{i:03d}.npy") for i in range(num_shards)],
-        entries=[load_npy(f"entry-{i:03d}.npy") for i in range(num_shards)],
-        exit_closures=[
-            load_npy(f"exitc-{i:03d}.npy") for i in range(num_shards)
-        ],
+        vertex_maps=per_shard("vmap-%03d.npy"),
+        entries=per_shard("portal-entry-%03d.npy"),
+        exit_closures=per_shard("portal-exit-%03d.npy"),
         meta=manifest,
     )
 

@@ -396,20 +396,25 @@ class DiGraph:
         """Induced subgraph on ``vertices``.
 
         Returns ``(sub, mapping)`` where ``mapping[i]`` is the original id
-        of the subgraph's vertex ``i``.
+        of the subgraph's vertex ``i`` (``vertices`` deduplicated and
+        sorted).  Self-loops are dropped, as :class:`DiGraph` does by
+        default.  Raises :class:`ValueError` for an id outside
+        ``[0, n)``.
         """
-        keep = np.asarray(sorted(set(int(v) for v in vertices)), dtype=np.int64)
+        keep = np.unique(np.asarray(vertices, dtype=np.int64))
         if len(keep) and (keep[0] < 0 or keep[-1] >= self.n):
             raise ValueError("subgraph vertex out of range")
-        new_id = -np.ones(self.n, dtype=np.int64)
+        new_id = np.full(self.n, -1, dtype=np.int64)
         new_id[keep] = np.arange(len(keep))
-        sub_edges = []
-        for u in keep:
-            nbrs = self.out_neighbors(int(u))
-            kept = nbrs[new_id[nbrs] >= 0]
-            for v in kept:
-                sub_edges.append((int(new_id[u]), int(new_id[v])))
-        return DiGraph(len(keep), sub_edges), keep
+        heads = new_id[np.repeat(np.arange(self.n), np.diff(self.out_indptr))]
+        tails = new_id[self.out_indices]
+        inside = (heads >= 0) & (tails >= 0) & (heads != tails)
+        heads, tails = heads[inside], tails[inside]
+        sub = DiGraph(len(keep))
+        sub.m = len(heads)
+        sub.out_indptr, sub.out_indices = _build_csr(sub.n, heads, tails)
+        sub.in_indptr, sub.in_indices = _build_csr(sub.n, tails, heads)
+        return sub, keep
 
     def undirected_edges(self) -> set[frozenset[int]]:
         """The edge set with direction erased (used by vertex-cover code)."""

@@ -14,8 +14,11 @@ import pytest
 
 from repro.baselines import BfsIndex
 from repro.core.kreach import KReachIndex
+from repro.bitsets import ops
 from repro.core.partition import (
     ShardedKReach,
+    _compose,
+    _portal_table,
     default_hub_count,
     partition_kreach,
 )
@@ -26,7 +29,7 @@ from repro.core.serialize import (
     verify_file,
 )
 from repro.graph.digraph import DiGraph
-from repro.graph.generators import gnp_digraph
+from repro.graph.generators import gnp_digraph, random_dag
 from repro.workloads import random_pairs
 
 
@@ -158,6 +161,94 @@ class TestInvariants:
         assert summary["boundary_size"] >= default_hub_count(graph.n)
 
 
+class TestCompose:
+    """The row-wise ``exit ∘ closure`` composition vs a triple-loop min-plus."""
+
+    @staticmethod
+    def _case(n_local, num_b, cap, seed):
+        rng = np.random.default_rng(seed)
+        exit_ = np.full((n_local, num_b), cap, dtype=np.int64)
+        reach = rng.random((n_local, num_b)) < 0.3
+        reach[: n_local // 3] = False  # rows that reach no boundary vertex
+        exit_[reach] = rng.integers(0, cap, size=int(reach.sum()))
+        closure = rng.integers(0, cap + 1, size=(num_b, num_b))
+        closure[rng.random((num_b, num_b)) < 0.5] = cap
+        np.fill_diagonal(closure, 0)
+        rows, b_of = np.nonzero(exit_ < cap)
+        return exit_, closure, (b_of, rows, exit_[rows, b_of])
+
+    @staticmethod
+    def _brute(exit_, closure, cap):
+        n_local, num_b = exit_.shape
+        out = np.full((n_local, num_b), cap, dtype=np.int64)
+        for v in range(n_local):
+            for b in range(num_b):
+                for c in range(num_b):
+                    out[v, c] = min(out[v, c], exit_[v, b] + closure[b, c])
+        return out
+
+    SHAPES = [(0, 0), (0, 5), (7, 0), (1, 1), (13, 5), (9, 70)]
+
+    @pytest.mark.parametrize("cap", [1, 2, 7])
+    @pytest.mark.parametrize("n_local,num_b", SHAPES)
+    def test_budgets_match_brute_force(self, cap, n_local, num_b):
+        exit_, closure, triples = self._case(n_local, num_b, cap, seed=cap)
+        out = _compose(*triples, closure.astype(np.uint8), n_local, cap - 1)
+        assert out.shape == (n_local, num_b)
+        assert out.dtype == np.uint8
+        assert np.array_equal(out, self._brute(exit_, closure, cap))
+        if n_local:
+            assert (out[: n_local // 3] == cap).all()
+
+    @pytest.mark.parametrize("n_local,num_b", SHAPES)
+    def test_reach_rows_match_brute_force(self, n_local, num_b):
+        exit_, closure, (b_of, rows, _) = self._case(n_local, num_b, 1, seed=4)
+        closure_bits = _portal_table(
+            *np.nonzero(closure == 0), None, (num_b, num_b), None
+        )
+        out = _compose(b_of, rows, np.zeros(len(rows), np.int64),
+                       closure_bits, n_local, None)
+        expected = self._brute(exit_, closure, 1) == 0
+        assert out.dtype == np.uint64
+        assert out.shape == (n_local, ops.words_for(num_b))
+        assert np.array_equal(
+            out, ops.bit_matrix(*np.nonzero(expected), n_local, num_b)
+        )
+
+
+def _shard_string(shard_of):
+    return "".join("B" if s < 0 else str(s) for s in shard_of.tolist())
+
+
+class TestShardAssignment:
+    """``shard_of`` pinned to what the partitioner produced before the
+    assignment loop was rewritten ("B" marks a boundary vertex)."""
+
+    PINNED = {
+        ("gnp", 2): "BB00000B0000000000B0000100B0000B00000B0BB00B00B01000B0B000"
+                    "B00000000000000001000BB0000B0000",
+        ("gnp", 4): "BB00000B0000000000B0000100B0000B00000B0BB00B00B03000B0B000"
+                    "B00000000000000001000BB0000B0000",
+        ("hub", 2): "0000000000B000100001B0B01000B0000BB00000000000B00001BB0000"
+                    "B000BB00000000000000000BBB",
+        ("hub", 4): "0000000000B000100001B0B02000B0000BB00000000000B00003BB0000"
+                    "B000BB00000000000000000BBB",
+        ("dag", 2): "00B011001B0B1110011BB011101B111010101BBBB0BBBBBBBB01BB0BBBBB",
+        ("dag", 3): "00B011B222BB1212211BB011222B21B11B221BBBBBBBBBBBBB01BB0BBBBB",
+        ("dag", 4): "02B022322BBB313B133BB03121331BB12B2123BB21BBBBBBBB03BB0BBBBB",
+    }
+
+    @pytest.mark.parametrize("name,num_shards", sorted(PINNED))
+    def test_shard_of_pinned(self, graph, name, num_shards):
+        g, kwargs = {
+            "gnp": (graph, {}),
+            "hub": (two_block_hub_graph(), {"hub_count": 4}),
+            "dag": (random_dag(60, 150, seed=5), {}),
+        }[name]
+        sharded = partition_kreach(g, 6, num_shards, **kwargs)
+        assert _shard_string(sharded.shard_of) == self.PINNED[name, num_shards]
+
+
 class TestManifest:
     @pytest.mark.parametrize("k", [6, None])
     def test_roundtrip_bit_identical(self, tmp_path, graph, pairs, k):
@@ -172,6 +263,15 @@ class TestManifest:
         )
         assert loaded.k == sharded.k
         assert np.array_equal(loaded.boundary, sharded.boundary)
+        width = ops.words_for(len(sharded.boundary)) if k is None else len(
+            sharded.boundary
+        )
+        for mine, theirs in zip(sharded.shards, loaded.shards):
+            for table, disk in ((mine.entry, theirs.entry),
+                                (mine.exit_closure, theirs.exit_closure)):
+                assert table.shape == (mine.n, width)
+                assert table.dtype == (np.uint64 if k is None else np.uint8)
+                assert np.array_equal(table, disk) and disk.dtype == table.dtype
 
     def test_verify_file_clean_and_corrupt(self, tmp_path, graph):
         directory = tmp_path / "m"
@@ -196,13 +296,23 @@ class TestManifest:
     def test_load_rejects_missing_and_resized(self, tmp_path, graph):
         directory = tmp_path / "m"
         save_sharded(partition_kreach(graph, 6, 2), directory)
-        victim = directory / "entry-000.npy"
+        victim = directory / "portal-entry-000.npy"
         original = victim.read_bytes()
         victim.unlink()
         with pytest.raises(IndexCorruptionError, match="missing"):
             load_sharded(directory)
         victim.write_bytes(original + b"\x00")
         with pytest.raises(IndexCorruptionError, match="size mismatch"):
+            load_sharded(directory)
+
+    def test_load_rejects_v1_manifest(self, tmp_path, graph):
+        directory = tmp_path / "m"
+        save_sharded(partition_kreach(graph, None, 2), directory)
+        manifest = directory / "manifest.json"
+        text = manifest.read_text()
+        assert '"format_version": 2' in text
+        manifest.write_text(text.replace('"format_version": 2', '"format_version": 1'))
+        with pytest.raises(IndexCorruptionError, match="unsupported manifest version"):
             load_sharded(directory)
 
     def test_load_rejects_manifest_tamper(self, tmp_path, graph):

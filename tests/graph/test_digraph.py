@@ -131,6 +131,38 @@ class TestViews:
         with pytest.raises(ValueError):
             g.subgraph([5])
 
+    @pytest.mark.parametrize("bad", [[3], [-1], [0, -2, 1]])
+    def test_subgraph_rejects_negative_and_edge_ids(self, bad):
+        g = DiGraph(3, [(0, 1)])
+        with pytest.raises(ValueError, match="out of range"):
+            g.subgraph(bad)
+
+    @staticmethod
+    def _induced(g, vertices):
+        """Loop reference: keep the edges with both ends in ``vertices``."""
+        keep = sorted(set(vertices))
+        new_id = {v: i for i, v in enumerate(keep)}
+        edges = [(new_id[u], new_id[v]) for u, v in g.edges()
+                 if u in new_id and v in new_id]
+        return DiGraph(len(keep), edges), keep
+
+    @pytest.mark.parametrize(
+        "vertices",
+        [[7, 2, 2, 9, 0, 7], [11, 10, 9, 3], list(range(12)), [4], []],
+    )
+    def test_subgraph_matches_loop_reference(self, vertices):
+        rng = np.random.default_rng(5)
+        edges = rng.integers(0, 12, size=(60, 2))  # includes self-loops
+        g = DiGraph(12, edges, allow_self_loops=True)
+        assert any(u == v for u, v in g.edges())
+        sub, mapping = g.subgraph(vertices)
+        expected, keep = self._induced(g, vertices)
+        assert mapping.tolist() == keep
+        assert sub == expected
+        assert np.array_equal(sub.in_indptr, expected.in_indptr)
+        assert np.array_equal(sub.in_indices, expected.in_indices)
+        assert not any(u == v for u, v in sub.edges())
+
     def test_undirected_edges(self):
         g = DiGraph(3, [(0, 1), (1, 0), (1, 2)])
         assert g.undirected_edges() == {frozenset((0, 1)), frozenset((1, 2))}
