@@ -87,7 +87,7 @@ async def run_front_door(server, reference, n, clients: int, requests: int) -> b
 
     _, health = await http_request(host, port, "GET", "/healthz")
     _, metrics = await http_request(host, port, "GET", "/metrics")
-    await door.close()  # graceful: drains the queue, stops the listener
+    await door.close()  # graceful: stops the listener, answers pending requests
     print(f"  {clients} concurrent clients x {requests} requests: "
           f"{elapsed*1e3:.1f} ms, all agree: {all(results)}")
     print(f"  /healthz: {health['status']}  qps={metrics['qps']}  "

@@ -6,12 +6,20 @@ pools underneath (:class:`~repro.core.sharded.ShardedQueryServer`,
 :class:`~repro.core.serve.ThreadQueryServer`) are happiest with large
 batches.  :class:`FrontDoor` bridges the two:
 
-* **Micro-batching.**  Requests land on an asyncio queue; a batcher
-  task opens a window (``window_ms``) on the first arrival and flushes
-  when the window closes or the accumulated batch reaches
-  ``max_batch`` pairs, whichever comes first.  The flush runs
-  ``submit``/``collect`` in a worker thread so the event loop keeps
-  accepting clients while the pools compute.
+* **Micro-batching.**  A request's uncached pairs join a pending list.
+  The first pending request opens a window with one event-loop timer
+  (``window_ms``); the window flushes when the timer fires or as soon
+  as ``max_batch`` pairs are pending, whichever comes first, and sends
+  pending requests oldest first until the call holds ``max_batch``
+  pairs.  At most one pool call is in flight (the pools are not
+  thread-safe): it runs in a worker thread so the event loop keeps
+  accepting clients, and when it returns the next window opens over
+  whatever is pending.  No task, queue or timeout is created per
+  request.
+* **Validation per request.**  Pairs that are not integer ids, not an
+  ``(m, 2)`` array, or (when the pool exposes ``n``) outside
+  ``[0, n)`` are refused with :class:`ValueError` (HTTP 400) before
+  they join a batch, so one bad request never fails its batch-mates.
 * **Hot-pair answer cache.**  An LRU of recent verdicts
   (``cache_pairs`` entries) short-circuits repeat queries — social
   workloads hit the same celebrity pairs constantly.  The cache is
@@ -21,12 +29,12 @@ batches.  :class:`FrontDoor` bridges the two:
 * **Admission control.**  When the uncollected backlog exceeds
   ``max_backlog`` pairs, new work is refused with
   :class:`FrontDoorOverloaded` (HTTP 503 on the wire) instead of
-  growing the queue without bound.
+  growing the pending list without bound.
 * **Observability.**  ``GET /healthz`` reports pool health;
-  ``GET /metrics`` returns structured counters — qps, batch occupancy,
-  cache hit rate, p50/p99 latency, admission rejects, and the
-  per-shard pool stats (including per-worker restart counts) straight
-  from ``server.stats()``.
+  ``GET /metrics`` returns structured counters — qps (pairs per
+  second), batch occupancy, cache hit rate, p50/p99 latency, admission
+  rejects, and the per-shard pool stats (including per-worker restart
+  counts) straight from ``server.stats()``.
 
 The HTTP surface is a deliberately minimal HTTP/1.1 implementation on
 ``asyncio.start_server`` — three JSON routes, connection-close
@@ -36,9 +44,11 @@ semantics — so the serving tier stays dependency-free.
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
 import time
 from collections import OrderedDict, deque
+from itertools import chain
 
 import numpy as np
 
@@ -56,18 +66,6 @@ class FrontDoorOverloaded(RuntimeError):
         self.limit = limit
 
 
-class _Request:
-    """One client's uncached pairs awaiting a batched flush."""
-
-    __slots__ = ("pairs", "future", "born", "generation")
-
-    def __init__(self, pairs, future, generation: int) -> None:
-        self.pairs = pairs
-        self.future = future
-        self.born = time.monotonic()
-        self.generation = generation
-
-
 class FrontDoor:
     """Aggregate concurrent async clients into batched pool queries.
 
@@ -75,12 +73,15 @@ class FrontDoor:
     ----------
     server:
         Any pool with ``query_batch(pairs, engine=...)`` and
-        ``stats()`` — sharded or single.
+        ``stats()`` — sharded or single.  A pool that exposes ``n``
+        gets its vertex range checked per request.
     window_ms:
-        Micro-batch window: how long the batcher waits after the first
-        request for more riders before flushing.
+        Micro-batch window: how long the door waits after the first
+        pending request for more riders before flushing.
     max_batch:
-        Flush immediately once this many pairs have accumulated.
+        Flush immediately once this many pairs have accumulated.  A
+        pool call takes pending requests only until it holds this many
+        pairs; the rest wait for the next flush.
     cache_pairs:
         LRU answer-cache capacity in pairs (0 disables caching).
     max_backlog:
@@ -102,17 +103,23 @@ class FrontDoor:
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         self._server = server
+        self._n = getattr(server, "n", 2**63)  # else any id the pools' int64 holds
         self._window = max(0.0, window_ms) / 1000.0
         self._max_batch = int(max_batch)
         self._cache_cap = int(cache_pairs)
         self._max_backlog = int(max_backlog)
         self._engine = engine
-        self._queue: asyncio.Queue = asyncio.Queue()
-        self._batcher_task: asyncio.Task | None = None
+        # Each pending request: its uncached pairs as s0, t0, s1, t1, ...
+        # and the future its client awaits.
+        self._pending: list[tuple[list[int], asyncio.Future]] = []
+        self._pending_pairs = 0
+        self._timer: asyncio.TimerHandle | None = None
+        self._inflight: asyncio.Future | None = None
         self._http_server: asyncio.AbstractServer | None = None
         self._closed = False
         self._born = time.monotonic()
 
+        # Stays empty when cache_pairs=0, so every lookup misses.
         self._cache: OrderedDict[tuple[int, int], bool] = OrderedDict()
         self._cache_generation = 0
         self._backlog_pairs = 0
@@ -131,9 +138,7 @@ class FrontDoor:
     # ----------------------------------------------------------- lifecycle
 
     async def start(self) -> "FrontDoor":
-        """Spawn the batcher task (idempotent)."""
-        if self._batcher_task is None:
-            self._batcher_task = asyncio.ensure_future(self._batcher())
+        """Ready the door (idempotent); batching needs no background task."""
         return self
 
     async def start_http(self, host: str = "127.0.0.1", port: int = 0) -> tuple[str, int]:
@@ -146,7 +151,7 @@ class FrontDoor:
         return bound[0], bound[1]
 
     async def close(self) -> None:
-        """Graceful shutdown: drain queued requests, stop the listener.
+        """Graceful shutdown: stop the listener, flush pending requests now.
 
         The underlying pool is **not** closed — the caller owns it.
         """
@@ -156,10 +161,9 @@ class FrontDoor:
         if self._http_server is not None:
             self._http_server.close()
             await self._http_server.wait_closed()
-        if self._batcher_task is not None:
-            await self._queue.put(None)  # sentinel: flush then exit
-            await self._batcher_task
-            self._batcher_task = None
+        self._arm()  # closed: flushes now instead of opening a window
+        while self._inflight is not None:
+            await asyncio.wait([self._inflight])
 
     async def __aenter__(self) -> "FrontDoor":
         return await self.start()
@@ -170,56 +174,67 @@ class FrontDoor:
     # ------------------------------------------------------------- serving
 
     async def query(self, pairs) -> list[bool]:
-        """Answer a client's pairs (cache first, batched pool second)."""
+        """Answer a client's pairs (cache first, batched pool second).
+
+        Malformed pairs raise :class:`ValueError` before joining a batch.
+        """
         if self._closed:
             raise RuntimeError("front door is closed")
-        arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        # The checks and messages of core.batch.as_pair_arrays, inlined:
+        # on 8-pair requests its int64 copy, numpy min/max and column
+        # splits cost about 1 us per pair more (benchmarks/frontdoor_overhead.py).
+        arr = np.asarray(pairs)
+        if arr.size == 0:
+            return []
+        if arr.dtype.kind not in "iu":
+            raise ValueError(f"pairs must be integer vertex ids, got dtype {arr.dtype}")
+        if arr.ndim != 2 or arr.shape[1] != 2:
+            raise ValueError(f"pairs must be an (m, 2) array, got shape {arr.shape}")
+        flat = arr.ravel().tolist()
+        if min(flat) < 0 or max(flat) >= self._n:
+            raise ValueError(f"query vertex out of range [0, {self._n})")
         self.requests += 1
         born = time.monotonic()
-        out = np.zeros(len(arr), dtype=bool)
+        keys = list(zip(flat[::2], flat[1::2]))
+        cache, generation = self._cache, self._cache_generation
+        out: list = []
         missing: list[int] = []
-        if self._cache_cap > 0:
-            for i, (s, t) in enumerate(arr.tolist()):
-                hit = self._cache.get((s, t))
-                if hit is None:
-                    missing.append(i)
-                else:
-                    self._cache.move_to_end((s, t))
-                    out[i] = hit
-            self.cache_hits += len(arr) - len(missing)
-            self.cache_misses += len(missing)
-        else:
-            missing = list(range(len(arr)))
-            self.cache_misses += len(arr)
+        for i, key in enumerate(keys):
+            hit = cache.get(key)
+            if hit is None:
+                missing.append(i)
+            else:
+                cache.move_to_end(key)
+            out.append(hit)
+        self.cache_hits += len(keys) - len(missing)
+        self.cache_misses += len(missing)
 
         if missing:
             if self._backlog_pairs + len(missing) > self._max_backlog:
                 self.admission_rejects += 1
                 raise FrontDoorOverloaded(self._backlog_pairs, self._max_backlog)
-            await self.start()
-            request = _Request(
-                arr[missing],
-                asyncio.get_running_loop().create_future(),
-                self._cache_generation,
-            )
+            future = asyncio.get_running_loop().create_future()
+            self._pending.append(([v for i in missing for v in keys[i]], future))
+            self._pending_pairs += len(missing)
             self._backlog_pairs += len(missing)
-            await self._queue.put(request)
-            verdicts = await request.future
-            out[missing] = verdicts
-            if self._cache_cap > 0 and request.generation == self._cache_generation:
-                for (s, t), v in zip(arr[missing].tolist(), verdicts.tolist()):
-                    self._cache[(s, t)] = v
-                    self._cache.move_to_end((s, t))
-                while len(self._cache) > self._cache_cap:
-                    self._cache.popitem(last=False)
+            self._arm()
+            verdicts = await future
+            fill = self._cache_cap > 0 and generation == self._cache_generation
+            for i, verdict in zip(missing, verdicts):
+                out[i] = verdict
+                if fill:
+                    cache[keys[i]] = verdict
+                    cache.move_to_end(keys[i])
+                    if len(cache) > self._cache_cap:
+                        cache.popitem(last=False)
 
         now = time.monotonic()
         self._latencies.append(now - born)
-        self.pairs_served += len(arr)
-        self._qps_window.append((now, len(arr)))
+        self.pairs_served += len(keys)
+        self._qps_window.append((now, len(keys)))
         while self._qps_window and now - self._qps_window[0][0] > 10.0:
             self._qps_window.popleft()
-        return out.tolist()
+        return out
 
     def invalidate_cache(self) -> None:
         """Drop every cached verdict (call after graph churn).
@@ -232,73 +247,76 @@ class FrontDoor:
 
     # ------------------------------------------------------------ batching
 
-    async def _batcher(self) -> None:
-        loop = asyncio.get_running_loop()
-        stopping = False
-        while not stopping:
-            first = await self._queue.get()
-            if first is None:
-                break
-            batch = [first]
-            total = len(first.pairs)
-            flush_at = loop.time() + self._window
-            while total < self._max_batch:
-                remaining = flush_at - loop.time()
-                if remaining <= 0:
-                    break
-                try:
-                    item = await asyncio.wait_for(
-                        self._queue.get(), timeout=remaining
-                    )
-                except asyncio.TimeoutError:
-                    break
-                if item is None:
-                    stopping = True
-                    break
-                batch.append(item)
-                total += len(item.pairs)
-            await self._flush(batch, total)
+    def _arm(self) -> None:
+        """Flush if full or closed, else open a window (not while a call is out)."""
+        if self._inflight is not None or not self._pending:
+            return
+        if self._pending_pairs >= self._max_batch or self._closed:
+            self._flush()
+        elif self._timer is None:
+            self._timer = asyncio.get_running_loop().call_later(self._window, self._flush)
 
-    async def _flush(self, batch: list[_Request], total: int) -> None:
-        pairs = np.concatenate([req.pairs for req in batch])
+    def _flush(self) -> None:
+        """Send pending requests, oldest first, up to ``max_batch`` pairs."""
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
+        take = total = 0
+        while total < self._max_batch and take < len(self._pending):
+            total += len(self._pending[take][0]) // 2
+            take += 1
+        batch = self._pending[:take]
+        del self._pending[:take]  # the rest ride the next flush
+        self._pending_pairs -= total
         self.batches += 1
         self.batched_pairs += total
-        try:
-            verdicts = await asyncio.to_thread(
-                self._server.query_batch, pairs, engine=self._engine
-            )
-        except BaseException as exc:  # propagate to every rider
-            for req in batch:
-                if not req.future.done():
-                    req.future.set_exception(
-                        exc if isinstance(exc, Exception) else RuntimeError(str(exc))
-                    )
-            self._backlog_pairs -= total
-            if not isinstance(exc, Exception):
-                raise
-            return
-        offset = 0
-        for req in batch:
-            span = verdicts[offset : offset + len(req.pairs)]
-            offset += len(req.pairs)
-            if not req.future.done():
-                req.future.set_result(span)
+        flat = np.array(list(chain.from_iterable(f for f, _ in batch)), dtype=np.int64)
+        call = functools.partial(
+            self._server.query_batch, flat.reshape(-1, 2), engine=self._engine
+        )
+        self._inflight = asyncio.get_running_loop().run_in_executor(None, call)
+        self._inflight.add_done_callback(functools.partial(self._deliver, batch, total))
+
+    def _deliver(self, batch, total: int, done: asyncio.Future) -> None:
+        """Scatter a finished pool call's verdicts (or error) to its riders."""
+        self._inflight = None
         self._backlog_pairs -= total
+        try:
+            verdicts = np.asarray(done.result(), dtype=bool).tolist()
+        except BaseException as exc:  # propagate to every rider
+            error = exc if isinstance(exc, Exception) else RuntimeError(repr(exc))
+            for _, future in batch:
+                if not future.done():
+                    future.set_exception(error)
+            if error is not exc:
+                raise  # an interrupt, exit or cancellation goes on to the loop
+        else:
+            offset = 0
+            for flat, future in batch:
+                if not future.done():  # the client may have been cancelled
+                    future.set_result(verdicts[offset : offset + len(flat) // 2])
+                offset += len(flat) // 2
+        finally:
+            self._arm()
 
     # ------------------------------------------------------------- metrics
 
     def metrics(self) -> dict:
-        """Structured serving metrics plus the pool's own ``stats()``."""
+        """Structured serving metrics plus the pool's own ``stats()``.
+
+        ``qps`` counts pairs (not requests) answered per second over the
+        last 10 s, or over the uptime while that is shorter.
+        """
         latencies = np.array(self._latencies, dtype=np.float64)
         now = time.monotonic()
         window = [n for ts, n in self._qps_window if now - ts <= 10.0]
-        span = 10.0 if len(self._qps_window) else 1.0
+        span = min(10.0, now - self._born)
         total_cache = self.cache_hits + self.cache_misses
         return {
             "uptime_s": round(now - self._born, 3),
             "requests": self.requests,
             "pairs_served": self.pairs_served,
-            "qps": round(sum(window) / span, 2),
+            "qps": round(sum(window) / span, 2) if window else 0.0,
             "batches": self.batches,
             "batch_occupancy": round(
                 self.batched_pairs / (self.batches * self._max_batch), 4
@@ -396,12 +414,10 @@ class FrontDoor:
         if method == "POST" and path == "/query":
             try:
                 pairs = json.loads(body.decode("utf-8"))["pairs"]
-                if not isinstance(pairs, list):
-                    raise ValueError("pairs must be a list")
-            except (ValueError, KeyError, UnicodeDecodeError) as exc:
+            except (ValueError, KeyError, TypeError, UnicodeDecodeError) as exc:
                 return 400, {"error": f"bad request: {exc}"}
-            try:
-                verdicts = await self.query(pairs) if pairs else []
+            try:  # query() validates the pairs themselves
+                verdicts = await self.query(pairs)
             except FrontDoorOverloaded as exc:
                 return 503, {"error": str(exc)}
             except (ValueError, TypeError) as exc:

@@ -163,6 +163,7 @@ class TestApiContract:
     def test_out_of_range_raises_in_parent(self, tmp_path, graph):
         _, path = serve_file(tmp_path, graph, 2)
         with QueryServer(path, workers=1) as server:
+            assert server.n == graph.n  # the range front ends validate against
             with pytest.raises(ValueError, match="out of range"):
                 server.query_batch([(0, graph.n)])
 

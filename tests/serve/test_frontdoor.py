@@ -1,14 +1,19 @@
 """Async front-door suite.
 
 Pins the batching front end's contract: many concurrent clients get
-bit-exact verdicts through micro-batched pool queries, the LRU cache
-serves repeats and invalidates on churn, admission control sheds load
-instead of queueing without bound, the HTTP surface exposes
-``/healthz`` + ``/metrics``, and a worker SIGKILL injected through the
-faults registry never produces a wrong or dropped verdict.
+bit-exact verdicts through micro-batched pool queries, the pool is
+never re-entered, a backlog leaves in calls of ``max_batch`` pairs, no
+task is created per request, ``close()`` answers pending requests at
+once, bad requests are refused alone, the LRU cache serves repeats
+and invalidates on churn, admission control sheds load instead of
+queueing without bound, the HTTP surface exposes ``/healthz`` +
+``/metrics``, and a worker SIGKILL injected through the faults
+registry never produces a wrong or dropped verdict.
 """
 
 import asyncio
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -104,6 +109,226 @@ class TestBatching:
         assert sum(batches) == 64 and len(batches) <= 2
 
 
+class _SpyPool:
+    """Answers from ``reference``; records batch sizes and overlapping calls."""
+
+    def __init__(self, reference, delay=0.0, n=None):
+        self.reference = reference
+        self.delay = delay
+        if n is not None:
+            self.n = n
+        self.batches = []
+        self.active = 0
+        self.max_active = 0
+        self._lock = threading.Lock()
+
+    def query_batch(self, pairs, engine=None):
+        with self._lock:
+            self.active += 1
+            self.max_active = max(self.max_active, self.active)
+        try:
+            time.sleep(self.delay)
+            self.batches.append(len(pairs))
+            return self.reference.query_batch(pairs)
+        finally:
+            with self._lock:
+                self.active -= 1
+
+    def stats(self):
+        return {"health": "ok"}
+
+
+class _GatedPool(_SpyPool):
+    """Holds each call until ``release`` is set; ``entered`` marks a call begun."""
+
+    def __init__(self, reference):
+        super().__init__(reference)
+        self.entered, self.release = threading.Event(), threading.Event()
+
+    def query_batch(self, pairs, engine=None):
+        self.entered.set()
+        self.release.wait(5)
+        return super().query_batch(pairs, engine)
+
+
+class TestBatcherContract:
+    def test_pool_never_reentered_under_64_clients(self, graph, reference):
+        spy = _SpyPool(reference, delay=0.002)
+
+        async def scenario():
+            async with FrontDoor(spy, window_ms=0.5, cache_pairs=0) as door:
+                async def client(cid):
+                    rng = np.random.default_rng(cid)
+                    ok = True
+                    for _ in range(5):
+                        # Staggered, so requests arrive while a call is in flight.
+                        await asyncio.sleep(rng.random() * 0.004)
+                        p = rng.integers(0, graph.n, size=(8, 2))
+                        ok &= await door.query(p) == reference.query_batch(p).tolist()
+                    return ok
+
+                return await asyncio.gather(*[client(i) for i in range(64)])
+
+        assert all(asyncio.run(scenario()))
+        assert spy.max_active == 1
+        assert sum(spy.batches) == 64 * 5 * 8
+
+    def test_close_answers_pending_without_waiting_out_the_window(self, reference):
+        spy = _SpyPool(reference)
+
+        async def scenario():
+            door = FrontDoor(spy, window_ms=1000, cache_pairs=0)
+            waiters = [
+                asyncio.ensure_future(door.query([[i, i + 1]])) for i in range(4)
+            ]
+            await asyncio.sleep(0.01)  # all four are pending in the open window
+            assert spy.batches == []
+            start = time.monotonic()
+            await door.close()
+            assert all(w.done() for w in waiters)
+            return time.monotonic() - start, await asyncio.gather(*waiters)
+
+        elapsed, got = asyncio.run(scenario())
+        assert elapsed < 0.5
+        want = reference.query_batch(np.array([[i, i + 1] for i in range(4)]))
+        assert [v for (v,) in got] == want.tolist()
+        assert spy.batches == [4]
+
+    def test_cancelled_client_leaves_no_backlog(self, reference):
+        pool = _GatedPool(reference)
+
+        async def scenario():
+            async with FrontDoor(
+                pool, window_ms=0, cache_pairs=0
+            ) as door:
+                doomed = asyncio.ensure_future(door.query([[0, 5], [5, 9]]))
+                await asyncio.to_thread(pool.entered.wait, 5)  # its flush is in flight
+                doomed.cancel()
+                with pytest.raises(asyncio.CancelledError):
+                    await doomed
+                assert door.metrics()["backlog_pairs"] == 2
+                pool.release.set()
+                # The next window opens once the cancelled rider's flush returns.
+                after = await asyncio.wait_for(door.query([[9, 0]]), 5)
+                return after, door.metrics()["backlog_pairs"]
+
+        after, backlog = asyncio.run(scenario())
+        assert after == reference.query_batch(np.array([[9, 0]])).tolist()
+        assert backlog == 0
+
+    def test_max_batch_caps_each_pool_call(self, graph, reference):
+        pool = _GatedPool(reference)
+        rng = np.random.default_rng(5)
+        first = rng.integers(0, graph.n, size=(8, 2))
+        rest = [rng.integers(0, graph.n, size=(4, 2)) for _ in range(5)]
+
+        async def scenario():
+            async with FrontDoor(
+                pool, window_ms=0, max_batch=8, cache_pairs=0
+            ) as door:
+                head = asyncio.ensure_future(door.query(first))
+                await asyncio.to_thread(pool.entered.wait, 5)  # 8 pairs in flight
+                tail = [asyncio.ensure_future(door.query(p)) for p in rest]
+                await asyncio.sleep(0.01)  # 20 pairs pend behind the call
+                pool.release.set()
+                got = await asyncio.gather(head, *tail)
+                return got, door.metrics()["batch_occupancy"]
+
+        got, occupancy = asyncio.run(scenario())
+        want = [reference.query_batch(p).tolist() for p in [first, *rest]]
+        assert got == want
+        # The backlog leaves in max_batch-sized calls, oldest first.
+        assert pool.batches == [8, 8, 8, 4]
+        assert occupancy == 28 / 32
+
+    def test_no_task_per_request(self, graph, reference):
+        clients, rounds = 8, 50
+
+        async def scenario():
+            created = 0
+
+            def factory(loop, coro, **kwargs):
+                nonlocal created
+                created += 1
+                return asyncio.Task(coro, loop=loop, **kwargs)
+
+            async with FrontDoor(
+                _SpyPool(reference), window_ms=5, cache_pairs=0
+            ) as door:
+                async def client(cid):
+                    rng = np.random.default_rng(cid)
+                    for _ in range(rounds):
+                        await door.query(rng.integers(0, graph.n, size=(8, 2)))
+
+                asyncio.get_running_loop().set_task_factory(factory)
+                await asyncio.gather(*[client(i) for i in range(clients)])
+                asyncio.get_running_loop().set_task_factory(None)
+                return created, door.batches, door.requests
+
+        created, batches, requests = asyncio.run(scenario())
+        assert requests == clients * rounds
+        assert batches < requests / 2  # the bound below is then meaningful
+        # The gather's one task per client, plus at most one per flush.
+        assert created <= batches + clients + 2
+
+
+class TestValidation:
+    def test_bad_request_does_not_fail_its_batch(self, graph, reference, tmp_path):
+        path = tmp_path / "g.kr"
+        save_mmap(reference, path)
+
+        async def scenario():
+            with ThreadQueryServer(path, workers=1) as server:
+                async with FrontDoor(server, window_ms=20) as door:
+                    return await asyncio.gather(
+                        door.query([[0, 5], [5, 9]]),
+                        door.query([[0, 10**9]]),
+                        return_exceptions=True,
+                    )
+
+        good, bad = asyncio.run(scenario())
+        assert good == reference.query_batch(np.array([[0, 5], [5, 9]])).tolist()
+        assert isinstance(bad, ValueError) and "out of range" in str(bad)
+
+    @pytest.mark.parametrize(
+        "pairs, n",
+        [
+            ([[0.9, 5.7]], 80),
+            ([[1, 2, 3]], 80),
+            ([[-1, 2]], 80),
+            ([[True, False]], 80),
+            ([[0, 80]], 80),
+            (np.array([[0, 2**63]], dtype=np.uint64), None),  # past int64
+        ],
+    )
+    def test_malformed_pairs_never_reach_the_pool(self, reference, pairs, n):
+        spy = _SpyPool(reference, n=n)
+
+        async def scenario():
+            async with FrontDoor(spy, window_ms=0) as door:
+                with pytest.raises(ValueError):
+                    await door.query(pairs)
+                return door.requests
+
+        assert asyncio.run(scenario()) == 0
+        assert spy.batches == []
+
+
+class TestMetrics:
+    def test_qps_divides_by_uptime_while_it_is_short(self, reference):
+        async def scenario():
+            async with FrontDoor(_SpyPool(reference), window_ms=0) as door:
+                await door.query([[i, i + 1] for i in range(40)])
+                await asyncio.sleep(0.05)
+                return door.metrics()
+
+        metrics = asyncio.run(scenario())
+        # 40 pairs in well under a second: qps is pairs per second of
+        # uptime, not pairs per 10 s.
+        assert metrics["qps"] == pytest.approx(40 / metrics["uptime_s"], rel=0.05)
+        assert metrics["qps"] > 40
+
+
 class TestCache:
     def test_hot_pairs_served_from_cache(self, graph, reference):
         async def scenario():
@@ -135,6 +360,22 @@ class TestCache:
         assert calls == [3, 3]  # second round never reached the pool
         assert metrics["cache"]["hits"] == 3
         assert metrics["cache"]["hit_rate"] == 0.5
+
+    def test_in_flight_answers_skip_an_invalidated_cache(self, reference):
+        pool = _GatedPool(reference)
+
+        async def scenario():
+            async with FrontDoor(pool, window_ms=0) as door:
+                pending = asyncio.ensure_future(door.query([[0, 5], [5, 9]]))
+                await asyncio.to_thread(pool.entered.wait, 5)
+                door.invalidate_cache()  # churn while the batch is in flight
+                pool.release.set()
+                got = await pending
+                return got, door.metrics()["cache"]["entries"]
+
+        got, entries = asyncio.run(scenario())
+        assert got == reference.query_batch(np.array([[0, 5], [5, 9]])).tolist()
+        assert entries == 0  # pre-churn verdicts were not written back
 
     def test_lru_eviction_bounds_entries(self, graph, reference):
         async def scenario():
@@ -232,11 +473,15 @@ class TestHttp:
             oob = await http_request(
                 host, port, "POST", "/query", {"pairs": [[0, 10**9]]}
             )
+            fractional = await http_request(
+                host, port, "POST", "/query", {"pairs": [[0.9, 5.7]]}
+            )
             await door.close()
-            return oob
+            return oob, fractional
 
-        status, body = asyncio.run(scenario())
+        (status, body), fractional = asyncio.run(scenario())
         assert status == 400 and "error" in body
+        assert fractional[0] == 400 and "integer" in fractional[1]["error"]
 
 
 class TestFaults:
