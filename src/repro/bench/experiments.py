@@ -493,9 +493,10 @@ def run_throughput(config: SuiteConfig) -> Table:
 
     Not a paper table — this serves the ROADMAP's serving goal.  Every
     row pushes one workload through three engines that must agree bit for
-    bit: the per-pair scalar loop, the previous batch path ("prev":
-    chunked cross products with the hub spill for k-reach, the memoized
-    Algorithm-3 walk for (h,k)-reach), and the bitset-join engine.  The
+    bit: the per-pair scalar loop, the gate-miss fallback ("prev", timed
+    with ``bitset_matrix_bytes = 0``: chunked cross products with the
+    hub spill for k-reach, the memoized Algorithm-3 walk for
+    (h,k)-reach), and the bitset-join engine.  The
     per-case columns time the bitset engine on each Algorithm-2/3 case
     subset, exposing where the join pays off (Case 4, and Cases 2–4 for
     (h,k)-reach).  The HubStress rows run the §1 celebrity×celebrity
@@ -512,9 +513,10 @@ def run_throughput(config: SuiteConfig) -> Table:
          "native µs/q", "c1 µs", "c2 µs", "c3 µs", "c4 µs", "speedup",
          "agree"],
         caption=(
-            "scalar = per-pair Python loop; prev = the pre-bitset batch "
-            "engine (chunked cross products + hub spill for k-reach, "
-            "memoized scalar walk for (h,k)-reach); bitset = the "
+            "scalar = per-pair Python loop; prev = the gate-miss "
+            "fallback, timed with bitset_matrix_bytes=0 (chunked cross "
+            "products + hub spill for k-reach, memoized scalar walk for "
+            "(h,k)-reach); bitset = the "
             "bitset-join engine (auto memory gate); native = the same "
             "case split preferring the compiled kernel tier (engine="
             "'native'; equals bitset when numba is absent); cN = bitset "
@@ -531,10 +533,12 @@ def run_throughput(config: SuiteConfig) -> Table:
     def add_row(dataset, index_label, k, idx, pairs, prev_engine) -> None:
         nonlocal all_agree
         scalar = time_queries(idx.query, pairs, repeat=repeat)
+        gate, idx.bitset_matrix_bytes = idx.bitset_matrix_bytes, 0
         prev = time_batch_queries(
             lambda p: idx.query_batch(p, engine=prev_engine), pairs,
             repeat=repeat,
         )
+        idx.bitset_matrix_bytes = gate
         bitset = time_batch_queries(
             lambda p: idx.query_batch(p, engine="auto"), pairs, repeat=repeat
         )
@@ -585,7 +589,7 @@ def run_throughput(config: SuiteConfig) -> Table:
         cover = vertex_cover_2approx(g)
         for k in (2, 6, None):
             idx = KReachIndex(g, k, cover=cover).prepare_batch()
-            add_row(name, "k-reach", k, idx, pairs, "chunked")
+            add_row(name, "k-reach", k, idx, pairs, "auto")
         cover2 = hhop_vertex_cover(g, 2, prune=False)
         for k in (6, None):
             hidx = HKReachIndex(g, 2, k, cover=cover2).prepare_batch()
@@ -606,7 +610,7 @@ def run_throughput(config: SuiteConfig) -> Table:
     )
     for k in (2, 6, None):
         idx = KReachIndex(hub, k, cover=hub_cover).prepare_batch()
-        add_row("HubStress", "k-reach", k, idx, hub_pairs, "chunked")
+        add_row("HubStress", "k-reach", k, idx, hub_pairs, "auto")
 
     table.add_row(
         {

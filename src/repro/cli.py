@@ -14,7 +14,8 @@ Usage::
 
 Query-timing experiments (Tables 5/7 and ``throughput``) run through the
 vectorized batch engine — ``--engine`` picks which one for the k-reach
-columns (``auto`` / ``bitset`` / ``chunked`` / ``scalar``).
+columns (``auto`` / ``native`` / ``bitset`` / ``scalar``; the
+:data:`~repro.core.batch.ENGINES` every index accepts).
 ``throughput`` always compares all engines per row (with per-case
 timings and the scalar-vs-bitset speedup CI gates on), ``dynamic``
 replays churn traces through the snapshot+overlay dynamic engine, the
@@ -66,6 +67,7 @@ import time
 
 from repro.bench.experiments import ALL_EXPERIMENTS, SuiteConfig
 from repro.bench.report import Table
+from repro.core.batch import ENGINES
 from repro.datasets import DATASET_NAMES
 
 __all__ = ["main", "build_parser"]
@@ -129,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--engine",
-        choices=["auto", "native", "bitset", "chunked", "scalar"],
+        choices=ENGINES,
         default="auto",
         help=(
             "query engine for the k-reach batch columns (Tables 5/6/7): "
@@ -137,9 +139,10 @@ def build_parser() -> argparse.ArgumentParser:
             "fits the memory gate and falls back to the chunked cross "
             "products otherwise; 'native' is the same split preferring the "
             "compiled kernel tier (numpy fallback when numba is absent); "
-            "'bitset'/'chunked' force one path; 'scalar' loops per pair "
-            "(the differential reference).  The 'throughput' experiment "
-            "always compares all engines"
+            "'bitset' forces the link matrix past the gate; 'scalar' loops "
+            "per pair (the differential reference).  The 'throughput' "
+            "experiment always compares all engines, the gate-miss "
+            "fallback included"
         ),
     )
     parser.add_argument(

@@ -1,21 +1,26 @@
-"""Shared kernels for the vectorized batch query engine.
+"""The vectorized Algorithm-2 batch driver and the kernels it calls.
 
 The paper times every index on 1M random vertex pairs (§6.2.2); answering
 them one at a time through Python loops leaves an order of magnitude on
-the table.  This module holds the numpy building blocks the batch paths of
-:class:`~repro.core.kreach.KReachIndex`,
-:class:`~repro.core.hkreach.HKReachIndex` and the general-k structures
-share:
+the table.  This module holds the one four-case batch loop the batch
+paths of :class:`~repro.core.kreach.KReachIndex`,
+:class:`~repro.core.dynamic.DynamicKReachIndex` and
+:class:`~repro.core.general_k.CoverDistanceOracle` run, plus the numpy
+building blocks it (and :class:`~repro.core.hkreach.HKReachIndex`) share:
 
+* :func:`four_case_batch` — Algorithm 2 over aligned pair columns.  The
+  index comes in as callbacks (cover flags, bulk weight lookup,
+  neighbor gather, link matrix, cover positions, gate-miss fallback);
+  Cases 2 and 3 are one loop over the gather direction.
 * :class:`KeyedRowStore` — the index's sorted ``u * n + v`` key array, so
   a *bulk* weight lookup is a single :func:`numpy.searchsorted` instead
   of per-pair dict probes.  It is taken zero-copy from the
   :class:`~repro.core.index_graph.IndexGraph` key/weight arrays; legacy
   nested-dict rows convert through :meth:`KeyedRowStore.from_rows`.
-* :func:`gather_segments` — concatenate the CSR adjacency lists of a
-  vertex array in O(f + t) numpy work, tagging every neighbor with the
-  position of the query pair that owns it.  This is what replaces the
-  per-pair Case-2/3 neighbor scans.
+* :func:`gather_segments` / :func:`csr_gather` — concatenate the CSR
+  adjacency lists of a vertex array in O(f + t) numpy work, tagging every
+  neighbor with the position of the query pair that owns it.  This is
+  what replaces the per-pair Case-2/3 neighbor scans.
 * :func:`case4_bitset_join` — the bitset-join Case-4 engine: both sides
   of the ``outNei(s) × inNei(t)`` bridge collapse to cover-position
   bitsets (``inNei(t)`` packed directly, ``outNei(s)`` OR-folded through
@@ -23,12 +28,13 @@ share:
   rows), and the per-pair verdict is one word-wise AND-any.  Celebrity
   vertices cost their degree in word operations instead of a
   materialized cross product, so no pair ever needs a scalar spill.
-* :func:`plan_cross_products` — chunked materialization of the per-pair
-  ``outNei(s) × inNei(t)`` cross products Case 4 bridges over, with a
-  bound on transient memory: pairs whose cross product alone exceeds the
-  chunk budget are returned separately so callers can fall back to the
-  scalar (early-exiting) path for those few hub×hub queries.  This is
-  the fallback engine when the bitset matrix exceeds its memory budget.
+* :func:`case4_chunked` — the Case-4 fallback of the static index and
+  the distance oracle when the link matrix misses its memory gate
+  (``bitset_matrix_bytes``; ``0`` always misses): the per-pair
+  ``outNei(s) × inNei(t)`` cross products, materialized in bounded
+  chunks by :func:`plan_cross_products`, with hub×hub pairs whose single
+  product exceeds a chunk spilling to the caller's early-exiting scalar
+  walk.
 
 All kernels operate on dense int64 vertex ids; booleans come back as
 ``np.ndarray[bool]`` aligned with the caller's pair order.
@@ -36,7 +42,7 @@ All kernels operate on dense int64 vertex ids; booleans come back as
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -45,14 +51,19 @@ from repro import native_kernels as _nk
 from repro.bitsets.ops import and_any, bit_matrix, or_rows_segmented
 
 __all__ = [
+    "ENGINES",
     "MISSING_WEIGHT",
     "UNBOUNDED_BUDGET",
     "KeyedRowStore",
     "as_pair_arrays",
     "coalesce_pairs",
     "gather_segments",
+    "csr_gather",
     "segment_any",
+    "four_case_batch",
+    "query_loop",
     "case4_bitset_join",
+    "case4_chunked",
     "plan_cross_products",
     "edge_keys",
     "has_edge_batch",
@@ -68,6 +79,12 @@ MISSING_WEIGHT = np.int64(1) << 62
 #: Budget standing in for "no hop bound" (the k=None modes).  Any stored
 #: weight compares ``<=`` it; :data:`MISSING_WEIGHT` does not.
 UNBOUNDED_BUDGET = np.int64(1) << 61
+
+#: Engine names every ``query_batch`` accepts: ``'auto'`` (Case 4 by
+#: bitset join inside the ``bitset_matrix_bytes`` gate, else the index's
+#: fallback), ``'native'`` (``'auto'`` on the compiled kernel tier),
+#: ``'bitset'`` (the join past the gate) and ``'scalar'`` (per pair).
+ENGINES = ("auto", "native", "bitset", "scalar")
 
 
 def as_pair_arrays(pairs: object, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -236,6 +253,18 @@ def gather_segments(
     return indices[positions].astype(np.int64), owner, counts
 
 
+def csr_gather(
+    graph, vertices: np.ndarray, direction: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """The :func:`four_case_batch` ``gather`` over ``graph``'s out- or
+    in-CSR (``direction`` ``'out'``/``'in'``): ``(neighbors, owner)``."""
+    if direction == "out":
+        indptr, indices = graph.out_indptr, graph.out_indices
+    else:
+        indptr, indices = graph.in_indptr, graph.in_indices
+    return gather_segments(indptr, indices, vertices)[:2]
+
+
 def segment_any(hits: np.ndarray, owner: np.ndarray, num_segments: int) -> np.ndarray:
     """Per-segment OR-reduction: ``out[j] = any(hits[owner == j])``."""
     out = np.zeros(num_segments, dtype=bool)
@@ -289,16 +318,91 @@ def case_codes(s_in: np.ndarray, t_in: np.ndarray) -> np.ndarray:
     return case
 
 
+Gather = Callable[[np.ndarray, str], tuple[np.ndarray, np.ndarray]]
+
+
+def four_case_batch(
+    s: np.ndarray,
+    t: np.ndarray,
+    k: int | None,
+    *,
+    flags: np.ndarray,
+    lookup: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    gather: Gather,
+    link_matrix: Callable[[], object],
+    row_pos: Callable[[], np.ndarray],
+    fallback: Callable[[np.ndarray, np.ndarray, np.int64], np.ndarray],
+) -> np.ndarray:
+    """Algorithm 2 over aligned (s, t) columns: ``True`` iff ``s →k t``.
+
+    ``k=None`` is the unbounded budget.  The index comes in as callbacks:
+    ``flags`` (per-vertex bool cover membership); ``lookup(u, v)`` (bulk
+    stored weights, :data:`MISSING_WEIGHT` where there is no link);
+    ``gather(vertices, direction)`` (``(neighbors, owner)`` for ``'out'``
+    or ``'in'``, ``owner`` ascending — see :func:`csr_gather`);
+    ``link_matrix()`` (the Case-4 matrix at budget ``k-2``, diagonal set,
+    or ``None`` past the memory gate); ``row_pos()`` (vertex → cover
+    position, -1 outside); and ``fallback(s, t, budget)`` (Case-4
+    verdicts at link budget ``k-2`` when there is no matrix).
+
+    Case 1 is one bulk lookup against ``k``.  Cases 2 and 3 are one loop
+    over direction: the uncovered endpoint's (covered) neighbors are
+    probed against the covered endpoint at ``k-1``, with ``u == v`` as
+    the single-edge path (legal: ``k == 0`` returns first).  Case 4
+    needs a 2-hop bridge, so it is skipped for ``k < 2``.
+    """
+    out = s == t
+    if k == 0:
+        return out
+    budget = UNBOUNDED_BUDGET if k is None else np.int64(k)
+    s_in = flags[s]
+    t_in = flags[t]
+    undecided = ~out
+
+    # Case 1: both endpoints covered.
+    sel = np.flatnonzero(undecided & s_in & t_in)
+    if len(sel):
+        out[sel] = lookup(s[sel], t[sel]) <= budget
+
+    # Case 2 walks in-neighbors of t; Case 3 out-neighbors of s.
+    for direction, covered, walked, case in (
+        ("in", s, t, s_in & ~t_in),
+        ("out", t, s, ~s_in & t_in),
+    ):
+        sel = np.flatnonzero(undecided & case)
+        if len(sel):
+            nbrs, owner = gather(walked[sel], direction)
+            ends = covered[sel][owner]
+            uv = (ends, nbrs) if direction == "in" else (nbrs, ends)
+            hit = (lookup(*uv) <= budget - 1) | (nbrs == ends)
+            out[sel] = segment_any(hit, owner, len(sel))
+
+    # Case 4: neither covered — bridge outNei(s) × inNei(t).
+    if k is not None and k < 2:
+        return out
+    sel = np.flatnonzero(undecided & ~s_in & ~t_in)
+    if len(sel):
+        matrix = link_matrix()
+        if matrix is None:
+            out[sel] = fallback(s[sel], t[sel], budget - 2)
+        else:
+            out[sel] = case4_bitset_join(s[sel], t[sel], matrix, row_pos(), gather)
+    return out
+
+
+def query_loop(query: Callable[[int, int], bool], s, t) -> np.ndarray:
+    """Per-pair ``query(s, t)`` verdicts: the ``'scalar'`` engine."""
+    return np.fromiter(map(query, s.tolist(), t.tolist()), dtype=bool, count=len(s))
+
+
 def case4_bitset_join(
-    graph,
     s: np.ndarray,
     t: np.ndarray,
     matrix: np.ndarray,
     row_pos: np.ndarray,
+    gather: Gather,
     *,
     max_words: int = 1 << 23,
-    gather_out=None,
-    gather_in=None,
 ) -> np.ndarray:
     """Case-4 verdicts for aligned uncovered (s, t) arrays via bitset join.
 
@@ -322,13 +426,9 @@ def case4_bitset_join(
     to a scalar walk.  Self-loop neighbors of an uncovered endpoint are
     the only non-cover entries either list can contain and are skipped.
 
-    Neighbor enumeration defaults to ``graph``'s CSR arrays; callers
-    whose adjacency is *not* one immutable CSR (the dynamic engine's
-    base-snapshot + overlay mix) pass ``gather_out`` / ``gather_in``
-    instead — each takes a unique vertex array and returns
-    ``(neighbors, owner)`` with ``owner`` sorted ascending, exactly the
-    :func:`gather_segments` contract.  With both provided, ``graph`` may
-    be ``None``.
+    ``gather(vertices, direction)`` enumerates neighbors with ascending
+    owners (the :func:`four_case_batch` contract), so the dynamic
+    engine's base-snapshot + overlay adjacency joins exactly like a CSR.
     """
     out = np.zeros(len(s), dtype=bool)
     words = matrix.shape[1] if matrix.ndim == 2 else 0
@@ -340,18 +440,12 @@ def case4_bitset_join(
     uniq_s, s_inv = np.unique(s, return_inverse=True)
     uniq_t, t_inv = np.unique(t, return_inverse=True)
 
-    if gather_in is None:
-        nbrs, owner, _ = gather_segments(graph.in_indptr, graph.in_indices, uniq_t)
-    else:
-        nbrs, owner = gather_in(uniq_t)
+    nbrs, owner = gather(uniq_t, "in")
     pos = row_pos[nbrs]
     keep = pos >= 0
     tbits = bit_matrix(owner[keep], pos[keep], len(uniq_t), cover_size)
 
-    if gather_out is None:
-        nbrs, owner, _ = gather_segments(graph.out_indptr, graph.out_indices, uniq_s)
-    else:
-        nbrs, owner = gather_out(uniq_s)
+    nbrs, owner = gather(uniq_s, "out")
     pos = row_pos[nbrs]
     keep = pos >= 0
     if isinstance(matrix, np.ndarray):
@@ -450,6 +544,32 @@ def _cross_block(
         np.repeat(in_starts, cross) + within % np.repeat(ic, cross)
     ].astype(np.int64)
     return u, v, owner
+
+
+def case4_chunked(
+    graph,
+    s: np.ndarray,
+    t: np.ndarray,
+    lookup: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    budget: np.int64,
+    spill: Callable[[int, int], bool],
+) -> np.ndarray:
+    """Case-4 verdicts by chunked cross products, for a gate miss.
+
+    A pair holds iff some ``(u, v)`` in ``outNei(s) × inNei(t)`` has
+    ``lookup(u, v) <= budget`` or ``u == v`` (the ``s → u → t``
+    handshake).  Products too large for one chunk of
+    :func:`plan_cross_products` go to ``spill(s, t)``, the caller's
+    early-exiting scalar query.
+    """
+    res = np.zeros(len(s), dtype=bool)
+    big, chunks = plan_cross_products(graph, s, t)
+    for sub, u, v, owner in chunks:
+        hit = (lookup(u, v) <= budget) | (u == v)
+        res[sub] |= segment_any(hit, owner, len(sub))
+    for j in big.tolist():
+        res[j] = spill(int(s[j]), int(t[j]))
+    return res
 
 
 # ----------------------------------------------------------------------

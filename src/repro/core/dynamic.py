@@ -19,14 +19,15 @@ architecture:
   (:func:`~repro.core.serialize.save_dynamic`) persists.
 
 Queries — scalar *and* :meth:`DynamicKReachIndex.query_batch` — route
-through the same four-case Algorithm 2 the static engine runs.  Batch
-reads stay on the PR-3 bulk paths under write churn: Case 1 is one
-two-tier weight gather (dirty sources override the base store), Cases
-2/3 gather neighbors from the base CSR for clean vertices and patch in
-overlay adjacency for the few dirty ones, and Case 4 joins against a
-*patched* link matrix — the base snapshot's cached matrix with dirty
-rows masked out and refilled from overlay lookups, extended with the
-cover vertices added since the snapshot.
+through the same four-case Algorithm 2 the static engine runs; batches
+through the static engine's driver,
+:func:`~repro.core.batch.four_case_batch`, fed two-tier callbacks: Case
+1 weight lookups where dirty sources override the base store, Case 2/3
+gathers from the base CSR with overlay adjacency patched in for the few
+dirty vertices, and a Case-4 join against a *patched* link matrix — the
+base snapshot's cached matrix with dirty rows masked out and refilled
+from overlay lookups, extended with the cover vertices added since the
+snapshot.
 
 **Maintenance** is the same incremental algebra as before, applied to
 the overlay:
@@ -83,14 +84,13 @@ from repro.bitsets.ops import (
     words_for,
 )
 from repro.core.batch import (
-    MISSING_WEIGHT,
-    UNBOUNDED_BUDGET,
+    ENGINES,
     KeyedRowStore,
     as_pair_arrays,
-    case4_bitset_join,
     case_codes,
-    gather_segments,
-    segment_any,
+    csr_gather,
+    four_case_batch,
+    query_loop,
 )
 from repro.core.index_graph import IndexGraph
 from repro.core.kreach import KReachIndex
@@ -103,8 +103,6 @@ __all__ = ["DynamicKReachIndex", "OP_INSERT", "OP_DELETE"]
 #: stores the log as an ``(ops, 3)`` int64 array of ``(op, u, v)`` rows).
 OP_INSERT = 0
 OP_DELETE = 1
-
-_ENGINES = ("auto", "native", "bitset", "scalar")
 
 #: Affected-row count at which a deletion repairs through one blocked
 #: bit-parallel MS-BFS over the current graph instead of per-row scalar
@@ -248,8 +246,6 @@ class DynamicKReachIndex:
         self.bitset_matrix_bytes = int(bitset_matrix_bytes)
         self.compactions = 0
         self._journal = None  # optional crash-safe OpLog (attach_journal)
-        self._b1_ok = k is None or k >= 1  # may a u == v handshake use k-1?
-        self._b2_ok = k is None or k >= 2  # ... use k-2?
 
     def _install_base(self, base: KReachIndex) -> None:
         """Promote ``base`` to the immutable tier and reset the overlay."""
@@ -1004,21 +1000,18 @@ class DynamicKReachIndex:
         join's OR-fold relies on.
         """
         g = self._base.graph
-        if direction == "out":
-            indptr, indices, adj = g.out_indptr, g.out_indices, self._out
-            dirty_set = self._dirty_out
-        else:
-            indptr, indices, adj = g.in_indptr, g.in_indices, self._in
-            dirty_set = self._dirty_in
+        adj, dirty_set = (
+            (self._out, self._dirty_out)
+            if direction == "out"
+            else (self._in, self._dirty_in)
+        )
         if not dirty_set:
-            nbrs, owner, _ = gather_segments(indptr, indices, vertices)
-            return nbrs, owner
+            return csr_gather(g, vertices, direction)
         is_dirty = self._dirty_adj_flags(direction)[vertices]
         if not is_dirty.any():
-            nbrs, owner, _ = gather_segments(indptr, indices, vertices)
-            return nbrs, owner
+            return csr_gather(g, vertices, direction)
         clean = np.flatnonzero(~is_dirty)
-        nbrs_c, owner_c, _ = gather_segments(indptr, indices, vertices[clean])
+        nbrs_c, owner_c = csr_gather(g, vertices[clean], direction)
         parts = [nbrs_c]
         owners = [clean[owner_c]]
         for j in np.flatnonzero(is_dirty).tolist():
@@ -1037,7 +1030,8 @@ class DynamicKReachIndex:
         Built as: base snapshot matrix copied into the top-left block
         (base positions are stable across overlay growth), dirty rows
         zeroed, overlay rows scattered back in at the query budget, and
-        the diagonal restored wherever the ``u == v`` handshake is legal.
+        the diagonal restored for the ``u == v`` handshake (always legal:
+        Case 4 only runs at ``k >= 2``).
         Rebuilt lazily after each write burst and cached until the next
         write.
         """
@@ -1050,8 +1044,7 @@ class DynamicKReachIndex:
             self._matrix_cache = (None,)
             return None
         budget = None if self.k is None else self.k - 2
-        diagonal = self._b2_ok
-        base_mat = self._base.index_graph.link_matrix(budget, diagonal=diagonal)
+        base_mat = self._base.index_graph.link_matrix(budget, diagonal=True)
         mat = np.zeros((size, words_for(size)), dtype=np.uint64)
         rows_b, words_b = base_mat.shape
         if rows_b:
@@ -1069,8 +1062,7 @@ class DynamicKReachIndex:
             if budget is not None:
                 keep &= d_w <= budget
             set_bits(mat, pu[keep], pv[keep])
-            if diagonal:
-                set_bits(mat, dirty_pos, dirty_pos)
+            set_bits(mat, dirty_pos, dirty_pos)
         if self._patch:
             # Pending insert patches only ever lower weights, so they
             # can only turn link bits ON — OR them over the base rows.
@@ -1081,7 +1073,7 @@ class DynamicKReachIndex:
             if budget is not None:
                 keep &= p_w <= budget
             set_bits(mat, pu[keep], pv[keep])
-        if diagonal and self._cover_added:
+        if self._cover_added:
             added_pos = np.arange(rows_b, size, dtype=np.int64)
             set_bits(mat, added_pos, added_pos)
         self._matrix_cache = (mat,)
@@ -1101,7 +1093,8 @@ class DynamicKReachIndex:
         self._flags()
         self._delta_store()
         self._patch_store()
-        self._case4_matrix()
+        if self.k is None or self.k >= 2:  # Case 4 runs only at k >= 2
+            self._case4_matrix()
         return self
 
     def query_batch(self, pairs, *, engine: str = "auto") -> np.ndarray:
@@ -1109,12 +1102,16 @@ class DynamicKReachIndex:
 
         Same batch API contract as the static engine: any ``(m, 2)``
         integer array-like in, an aligned ``(m,)`` bool array out,
-        bit-identical to the scalar :meth:`query` loop.  ``engine``:
+        bit-identical to the scalar :meth:`query` loop.  The vector
+        engines run the static index's driver,
+        :func:`~repro.core.batch.four_case_batch`, over the two-tier
+        weight lookup, the base-CSR-plus-overlay neighbor gather and the
+        patched link matrix.  ``engine``:
 
-        * ``'auto'`` (default) — the four-case bulk path; Case 4 runs
-          the bitset join against the patched link matrix when it fits
-          :attr:`bitset_matrix_bytes`, else falls back to the scalar
-          walk for those pairs.
+        * ``'auto'`` (default) — Case 4 runs the bitset join against the
+          patched link matrix when it fits :attr:`bitset_matrix_bytes`,
+          else the early-exiting per-pair :meth:`query` walk for those
+          pairs (``bitset_matrix_bytes=0`` always takes the walk).
         * ``'native'`` — ``'auto'`` with the kernels preferring the
           compiled tier for this batch (:func:`repro.native.use`);
           identical answers, numpy fallback when numba is absent.
@@ -1122,84 +1119,26 @@ class DynamicKReachIndex:
         * ``'scalar'`` — a plain per-pair :meth:`query` loop (the
           differential reference, and the pre-overlay behavior).
         """
-        if engine not in _ENGINES:
-            raise ValueError(f"engine must be one of {_ENGINES}, got {engine!r}")
+        if engine not in ENGINES:
+            raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
         if engine == "native":
             with native.use("auto"):
                 return self.query_batch(pairs, engine="auto")
         self._flush_repairs()
         s, t = as_pair_arrays(pairs, self.n)
-        m = len(s)
-        out = np.zeros(m, dtype=bool)
-        if m == 0:
-            return out
-        if engine == "scalar":
-            query = self.query
-            for i, (si, ti) in enumerate(zip(s.tolist(), t.tolist())):
-                out[i] = query(si, ti)
-            return out
-        np.equal(s, t, out=out)
-        k = self.k
-        if k == 0:
-            return out
-        flags = self._flags()
-        s_in = flags[s]
-        t_in = flags[t]
-        undecided = ~out  # s != t
-        b1 = UNBOUNDED_BUDGET if k is None else np.int64(k - 1)
-
-        # Case 1: one two-tier weight gather; presence alone decides
-        # (overlay and base both store only weights <= k).
-        sel = np.flatnonzero(undecided & s_in & t_in)
-        if len(sel):
-            out[sel] = self._lookup(s[sel], t[sel]) < MISSING_WEIGHT
-
-        # Case 2: some in-neighbor v of t with v == s or ω(s, v) <= k-1.
-        sel = np.flatnonzero(undecided & s_in & ~t_in)
-        if len(sel):
-            nbrs, owner = self._gather(t[sel], "in")
-            src = s[sel][owner]
-            hit = self._lookup(src, nbrs) <= b1
-            if self._b1_ok:
-                hit |= nbrs == src
-            out[sel] = segment_any(hit, owner, len(sel))
-
-        # Case 3: mirror of Case 2 over out-neighbors of s.
-        sel = np.flatnonzero(undecided & ~s_in & t_in)
-        if len(sel):
-            nbrs, owner = self._gather(s[sel], "out")
-            dst = t[sel][owner]
-            hit = self._lookup(nbrs, dst) <= b1
-            if self._b1_ok:
-                hit |= nbrs == dst
-            out[sel] = segment_any(hit, owner, len(sel))
-
-        # Case 4: bridge outNei(s) × inNei(t) through the patched matrix.
-        sel = np.flatnonzero(undecided & ~s_in & ~t_in)
-        if len(sel):
-            out[sel] = self._case4_batch(s[sel], t[sel], engine)
-        return out
-
-    def _case4_batch(
-        self, s: np.ndarray, t: np.ndarray, engine: str
-    ) -> np.ndarray:
-        matrix = self._case4_matrix(force=engine == "bitset")
-        if matrix is not None:
-            return case4_bitset_join(
-                None,
-                s,
-                t,
-                matrix,
-                self._row_pos(),
-                gather_out=lambda vs: self._gather(vs, "out"),
-                gather_in=lambda vs: self._gather(vs, "in"),
-            )
-        # Memory-gated fallback: the early-exiting per-pair walk.
-        res = np.zeros(len(s), dtype=bool)
-        query = self.query
-        for i, (si, ti) in enumerate(zip(s.tolist(), t.tolist())):
-            res[i] = query(si, ti)
-        return res
+        if engine == "scalar" or len(s) == 0:
+            return query_loop(self.query, s, t)
+        return four_case_batch(
+            s,
+            t,
+            self.k,
+            flags=self._flags(),
+            lookup=self._lookup,
+            gather=self._gather,
+            link_matrix=lambda: self._case4_matrix(force=engine == "bitset"),
+            row_pos=self._row_pos,
+            fallback=lambda s4, t4, budget: query_loop(self.query, s4, t4),
+        )
 
     def query_case_batch(self, pairs) -> np.ndarray:
         """Vectorized :meth:`query_case`: an ``(m,)`` uint8 array of 1–4."""

@@ -21,18 +21,19 @@ The paper sketches three ways to serve a *general* k, all implemented here:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from repro.bitsets.ops import DEFAULT_MATRIX_BYTES
 from repro.core.batch import (
     MISSING_WEIGHT,
-    UNBOUNDED_BUDGET,
     KeyedRowStore,
     as_pair_arrays,
-    case4_bitset_join,
+    case4_chunked,
+    csr_gather,
     edge_keys,
-    gather_segments,
+    four_case_batch,
     has_edge_batch,
     plan_cross_products,
 )
@@ -187,25 +188,21 @@ class CoverDistanceOracle:
         if len(sel):
             dist[sel] = store.lookup(s[sel], t[sel])
 
-        # Case 2: min over in-neighbors v of t of d(s, v) + 1 (d(s, s) = 0).
-        sel = np.flatnonzero(undecided & s_in & ~t_in)
-        if len(sel):
-            nbrs, owner, _ = gather_segments(g.in_indptr, g.in_indices, t[sel])
-            src = s[sel][owner]
-            cand = np.where(nbrs == src, 0, store.lookup(src, nbrs)) + 1
-            best = np.full(len(sel), MISSING_WEIGHT, dtype=np.int64)
-            np.minimum.at(best, owner, cand)
-            dist[sel] = best
-
-        # Case 3: min over out-neighbors u of s of d(u, t) + 1.
-        sel = np.flatnonzero(undecided & ~s_in & t_in)
-        if len(sel):
-            nbrs, owner, _ = gather_segments(g.out_indptr, g.out_indices, s[sel])
-            dst = t[sel][owner]
-            cand = np.where(nbrs == dst, 0, store.lookup(nbrs, dst)) + 1
-            best = np.full(len(sel), MISSING_WEIGHT, dtype=np.int64)
-            np.minimum.at(best, owner, cand)
-            dist[sel] = best
+        # Case 2: min over in-neighbors v of t of d(s, v) + 1 (d(s, s) = 0);
+        # Case 3 mirrors it over out-neighbors u of s: min d(u, t) + 1.
+        for direction, covered, walked, case in (
+            ("in", s, t, s_in & ~t_in),
+            ("out", t, s, ~s_in & t_in),
+        ):
+            sel = np.flatnonzero(undecided & case)
+            if len(sel):
+                nbrs, owner = csr_gather(g, walked[sel], direction)
+                ends = covered[sel][owner]
+                uv = (ends, nbrs) if direction == "in" else (nbrs, ends)
+                cand = np.where(nbrs == ends, 0, store.lookup(*uv)) + 1
+                best = np.full(len(sel), MISSING_WEIGHT, dtype=np.int64)
+                np.minimum.at(best, owner, cand)
+                dist[sel] = best
 
         # Case 4: min over outNei(s) × inNei(t) of d(u, v) + 2.
         sel = np.flatnonzero(undecided & ~s_in & ~t_in)
@@ -242,8 +239,10 @@ class CoverDistanceOracle:
         threshold path: per-case bulk gathers against ``d <= budget``,
         with Case 4 resolved by the bitset join against the exact-weight
         :meth:`~repro.core.index_graph.IndexGraph.link_matrix` at budget
-        ``k - 2`` (chunked cross products when a matrix would exceed
-        :attr:`bitset_matrix_bytes`).  Answers equal
+        ``k - 2`` — the same :func:`~repro.core.batch.four_case_batch`
+        driver the k-reach index runs, with the same
+        :func:`~repro.core.batch.case4_chunked` fallback when the matrix
+        would exceed :attr:`bitset_matrix_bytes`.  Answers equal
         ``distance_batch(pairs) <= k`` exactly.
         """
         if k < 0:
@@ -263,70 +262,30 @@ class CoverDistanceOracle:
         """``d(s, t) <= k`` over a batch (``k=None`` = finite distance)."""
         g = self.graph
         s, t = as_pair_arrays(pairs, g.n)
-        m = len(s)
-        out = np.zeros(m, dtype=bool)
-        if m == 0:
-            return out
-        np.equal(s, t, out=out)
-        if k == 0:
-            return out
-        store = self._keyed()
-        s_in = self._in_cover[s]
-        t_in = self._in_cover[t]
-        undecided = ~out
-        b0 = UNBOUNDED_BUDGET if k is None else np.int64(k)
-        b1 = UNBOUNDED_BUDGET if k is None else np.int64(k - 1)
-        b2 = UNBOUNDED_BUDGET if k is None else np.int64(k - 2)
+        ig = self._ig
+        lookup = self._keyed().lookup
 
-        # Case 1: direct cover-pair distance against the full budget.
-        sel = np.flatnonzero(undecided & s_in & t_in)
-        if len(sel):
-            out[sel] = store.lookup(s[sel], t[sel]) <= b0
+        def spill(a: int, b: int) -> bool:
+            d = self.distance(a, b)
+            return d < INFINITE_DISTANCE if k is None else d <= k
 
-        # Case 2: some in-neighbor v of t with v == s or d(s, v) <= k-1.
-        sel = np.flatnonzero(undecided & s_in & ~t_in)
-        if len(sel):
-            nbrs, owner, _ = gather_segments(g.in_indptr, g.in_indices, t[sel])
-            src = s[sel][owner]
-            hit = store.lookup(src, nbrs) <= b1
-            if k is None or k >= 1:
-                hit |= nbrs == src
-            out[sel] = np.bincount(owner[hit], minlength=len(sel)) > 0
-
-        # Case 3: mirror over out-neighbors of s.
-        sel = np.flatnonzero(undecided & ~s_in & t_in)
-        if len(sel):
-            nbrs, owner, _ = gather_segments(g.out_indptr, g.out_indices, s[sel])
-            dst = t[sel][owner]
-            hit = store.lookup(nbrs, dst) <= b1
-            if k is None or k >= 1:
-                hit |= nbrs == dst
-            out[sel] = np.bincount(owner[hit], minlength=len(sel)) > 0
-
-        # Case 4: bitset join at budget k-2 (diagonal = the u == v
-        # handshake, a 2-hop bridge), chunked products as the fallback.
-        sel = np.flatnonzero(undecided & ~s_in & ~t_in)
-        if len(sel):
-            s4, t4 = s[sel], t[sel]
-            ig = self._ig
-            if k is not None and k < 2:
-                pass  # no 2-hop bridge fits the budget
-            elif ig.link_matrix_bytes() <= self.bitset_matrix_bytes:
-                matrix = ig.link_matrix(
-                    None if k is None else k - 2, diagonal=True
-                )
-                out[sel] = case4_bitset_join(g, s4, t4, matrix, ig.row_pos())
-            else:
-                res = np.zeros(len(sel), dtype=bool)
-                big, chunks = plan_cross_products(g, s4, t4)
-                for sub, u, v, owner in chunks:
-                    hit = (store.lookup(u, v) <= b2) | (u == v)
-                    res[sub] |= np.bincount(owner[hit], minlength=len(sub)) > 0
-                for j in big.tolist():
-                    d = self.distance(int(s4[j]), int(t4[j]))
-                    res[j] = d < INFINITE_DISTANCE if k is None else d <= k
-                out[sel] = res
-        return out
+        return four_case_batch(
+            s,
+            t,
+            k,
+            flags=self._in_cover,
+            lookup=lookup,
+            gather=partial(csr_gather, g),
+            link_matrix=lambda: (
+                ig.link_matrix(None if k is None else k - 2, diagonal=True)
+                if ig.link_matrix_bytes() <= self.bitset_matrix_bytes
+                else None
+            ),
+            row_pos=ig.row_pos,
+            fallback=lambda s4, t4, budget: case4_chunked(
+                g, s4, t4, lookup, budget, spill
+            ),
+        )
 
     @property
     def cover_size(self) -> int:

@@ -57,6 +57,7 @@ from repro.bitsets.ops import (
 )
 from repro.bitsets.packed import PackedIntArray, bits_needed
 from repro.core.batch import (
+    ENGINES,
     UNBOUNDED_BUDGET,
     KeyedRowStore,
     as_pair_arrays,
@@ -93,8 +94,6 @@ _LEVEL_MEMO_CAP = 65_536
 # its per-distinct-endpoint bitset blocks stay bounded regardless of the
 # batch size.
 _BITSET_SLICE = 1 << 16
-
-_ENGINES = ("auto", "native", "bitset", "scalar")
 
 
 class HKReachIndex:
@@ -500,8 +499,8 @@ class HKReachIndex:
         back to input order; the scalar walk keeps the raw pair stream
         (its level memo already amortizes repeats).
         """
-        if engine not in _ENGINES:
-            raise ValueError(f"engine must be one of {_ENGINES}, got {engine!r}")
+        if engine not in ENGINES:
+            raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
         if engine == "native":
             # Prefer the compiled kernel tier for this batch; identical
             # answers, numpy fallback when numba is absent.

@@ -46,22 +46,23 @@ same index, built with bitset sweeps instead of |S| graph traversals.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from repro import native
 from repro.bitsets.ops import DEFAULT_MATRIX_BYTES
 from repro.bitsets.packed import PackedIntArray
 from repro.core.batch import (
-    MISSING_WEIGHT,
-    UNBOUNDED_BUDGET,
+    ENGINES,
     KeyedRowStore,
     as_pair_arrays,
-    case4_bitset_join,
+    case4_chunked,
     case_codes,
     coalesce_pairs,
-    gather_segments,
-    segment_any,
-    plan_cross_products,
+    csr_gather,
+    four_case_batch,
+    query_loop,
 )
 from repro.core.index_graph import (
     IndexGraph,
@@ -76,7 +77,6 @@ from repro.graph.scc import condensation
 __all__ = ["KReachIndex"]
 
 _BUILDERS = ("blocked", "serial")
-_ENGINES = ("auto", "native", "bitset", "chunked", "scalar")
 
 
 class KReachIndex:
@@ -112,10 +112,11 @@ class KReachIndex:
         Memory ceiling for the Case-4 bitset-join link matrix
         (``~|S|²/8`` bytes; default
         :data:`~repro.bitsets.ops.DEFAULT_MATRIX_BYTES`).  Covers too
-        large for the ceiling make ``engine='auto'`` batches fall back
-        to the chunked cross-product engine; ``0`` keeps ``'auto'`` off
-        the bitset path entirely (an explicit ``engine='bitset'`` still
-        forces the matrix build).
+        large for the ceiling make ``engine='auto'`` batches answer
+        Case 4 by :func:`~repro.core.batch.case4_chunked` (chunked cross
+        products with a scalar hub spill); ``0`` selects that fallback
+        for every batch (an explicit ``engine='bitset'`` still forces the
+        matrix build).
     rng:
         Randomness for ``cover_strategy='random'``.
 
@@ -203,9 +204,6 @@ class KReachIndex:
             self._cover_flags = bytearray(flags.tobytes())
         else:
             self._cover_flags = bytearray(graph.n)
-        # Pre-resolved query-time budgets (None = unbounded).
-        self._b1_ok = k is None or k >= 1  # may a u == v handshake use k-1?
-        self._b2_ok = k is None or k >= 2  # ... use k-2?
         self._ig = index_graph
         #: Row-store backing ('dense' keyed arrays or 'wah' compressed
         #: bitmaps) — owned by the IndexGraph, mirrored for introspection.
@@ -469,15 +467,12 @@ class KReachIndex:
                         return True
                 return False
             budget = k - 1
-            b1_ok = self._b1_ok
             for v in in_lists[t]:
                 if v == s:
-                    if b1_ok:
-                        return True
-                else:
-                    w = probe(s, v)
-                    if w is not None and w <= budget:
-                        return True
+                    return True  # the single edge s -> t (k >= 1 here)
+                w = probe(s, v)
+                if w is not None and w <= budget:
+                    return True
             return False
 
         if flags[t]:
@@ -491,12 +486,10 @@ class KReachIndex:
             budget = k - 1
             for u in out_lists[s]:
                 if u == t:
-                    if self._b1_ok:
-                        return True
-                else:
-                    w = probe(u, t)
-                    if w is not None and w <= budget:
-                        return True
+                    return True
+                w = probe(u, t)
+                if w is not None and w <= budget:
+                    return True
             return False
 
         # Case 4: bridge an out-neighbor of s to an in-neighbor of t.
@@ -504,7 +497,7 @@ class KReachIndex:
         if not preds:
             return False
         pred_set = set(preds)
-        b2_ok = self._b2_ok
+        b2_ok = k is None or k >= 2  # may s -> u -> t use budget k-2?
         budget = 0 if k is None else k - 2
         unbounded = k is None
         wah = self._wah
@@ -600,7 +593,8 @@ class KReachIndex:
         """
         self._keyed()
         self._flags()
-        self._case4_matrix()
+        if self.k is None or self.k >= 2:  # Case 4 runs only at k >= 2
+            self._case4_matrix()
         return self
 
     def query_batch(self, pairs, *, engine: str = "auto") -> np.ndarray:
@@ -611,27 +605,25 @@ class KReachIndex:
         (see the class docstring for the full batch API contract).  All
         engines return bit-identical answers.
 
-        Algorithm 2's case split is evaluated over the cover-membership
-        flags of all pairs at once.  Case-1 weights are gathered in one
-        sorted-key binary search over the row store and Cases 2/3 batch
-        the neighbor probes over the CSR arrays.  Case 4 depends on
-        ``engine``:
+        Algorithm 2 runs through :func:`~repro.core.batch.four_case_batch`
+        over the cover-membership flags of all pairs at once: Case-1
+        weights come from one sorted-key binary search over the row
+        store, Cases 2/3 batch the neighbor probes over the CSR arrays,
+        and Case 4 depends on ``engine``:
 
         * ``'auto'`` (default) — the bitset join when the cover-local
           link matrix fits :attr:`bitset_matrix_bytes`, else the chunked
-          engine.
+          cross products of :func:`~repro.core.batch.case4_chunked`,
+          whose hub×hub pairs spill to the early-exiting :meth:`query`
+          (``bitset_matrix_bytes=0`` always takes this fallback).
         * ``'native'`` — same case split as ``'auto'``, but the kernels
           prefer the compiled tier for this batch
           (:func:`repro.native.use`); identical answers, and a plain
           ``'auto'`` run when numba is absent.
-        * ``'bitset'`` — force the bitset join: per-pair verdicts become
-          word-wise AND-any tests against per-endpoint cover bitsets; no
-          cross product is materialized and no pair ever takes the
-          hub-spill path.
-        * ``'chunked'`` — the chunked ``outNei(s) × inNei(t)`` cross
-          products with the scalar early-exit spill for hub×hub pairs
-          (the pre-bitset engine, kept for benchmarks/differential
-          tests).
+        * ``'bitset'`` — force the bitset join past the gate: per-pair
+          verdicts become word-wise AND-any tests against per-endpoint
+          cover bitsets; no cross product is materialized and no pair
+          ever takes the hub-spill path.
         * ``'scalar'`` — a plain per-pair :meth:`query` loop (the
           differential reference).
 
@@ -641,81 +633,36 @@ class KReachIndex:
         verdicts back to input order — a repeated-pair-heavy workload
         pays each kernel once per *distinct* pair.
         """
-        if engine not in _ENGINES:
-            raise ValueError(f"engine must be one of {_ENGINES}, got {engine!r}")
+        if engine not in ENGINES:
+            raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
         if engine == "native":
             with native.use("auto"):
                 return self.query_batch(pairs, engine="auto")
         g = self.graph
         s, t = as_pair_arrays(pairs, g.n)
-        m = len(s)
-        if m == 0:
-            return np.zeros(0, dtype=bool)
-        if engine == "scalar":
-            out = np.zeros(m, dtype=bool)
-            query = self.query
-            for i, (si, ti) in enumerate(zip(s.tolist(), t.tolist())):
-                out[i] = query(si, ti)
-            return out
+        if engine == "scalar" or len(s) == 0:
+            return query_loop(self.query, s, t)
         flags = self._flags()
         codes = case_codes(flags[s], flags[t])
         # Kernels always run over the deduplicated, case-grouped pairs:
         # the sort is the dedup check anyway, so the grouping is free,
         # and the O(m) inverse scatter is noise next to the kernels.
         us, ut, inverse = coalesce_pairs(s, t, g.n, codes=codes)
-        return self._query_batch_arrays(us, ut, engine)[inverse]
-
-    def _query_batch_arrays(
-        self, s: np.ndarray, t: np.ndarray, engine: str
-    ) -> np.ndarray:
-        """The vector engines over validated (s, t) columns (see
-        :meth:`query_batch`)."""
-        g = self.graph
-        m = len(s)
-        out = np.zeros(m, dtype=bool)
-        np.equal(s, t, out=out)
-        k = self.k
-        if k == 0:
-            return out
-        store = self._keyed()
-        flags = self._flags()
-        s_in = flags[s]
-        t_in = flags[t]
-        undecided = ~out  # s != t
-        b1 = UNBOUNDED_BUDGET if k is None else np.int64(k - 1)
-        b2 = UNBOUNDED_BUDGET if k is None else np.int64(k - 2)
-
-        # Case 1: one bulk weight gather; presence alone decides (stored
-        # weights never exceed k by construction).
-        sel = np.flatnonzero(undecided & s_in & t_in)
-        if len(sel):
-            out[sel] = store.lookup(s[sel], t[sel]) < MISSING_WEIGHT
-
-        # Case 2: some in-neighbor v of t with v == s or ω(s, v) <= k-1.
-        sel = np.flatnonzero(undecided & s_in & ~t_in)
-        if len(sel):
-            nbrs, owner, _ = gather_segments(g.in_indptr, g.in_indices, t[sel])
-            src = s[sel][owner]
-            hit = store.lookup(src, nbrs) <= b1
-            if self._b1_ok:
-                hit |= nbrs == src
-            out[sel] = segment_any(hit, owner, len(sel))
-
-        # Case 3: mirror of Case 2 over out-neighbors of s.
-        sel = np.flatnonzero(undecided & ~s_in & t_in)
-        if len(sel):
-            nbrs, owner, _ = gather_segments(g.out_indptr, g.out_indices, s[sel])
-            dst = t[sel][owner]
-            hit = store.lookup(nbrs, dst) <= b1
-            if self._b1_ok:
-                hit |= nbrs == dst
-            out[sel] = segment_any(hit, owner, len(sel))
-
-        # Case 4: bridge outNei(s) × inNei(t) through the index.
-        sel = np.flatnonzero(undecided & ~s_in & ~t_in)
-        if len(sel):
-            out[sel] = self._case4_batch(store, s[sel], t[sel], b2, engine)
-        return out
+        lookup = self._keyed().lookup
+        verdicts = four_case_batch(
+            us,
+            ut,
+            self.k,
+            flags=flags,
+            lookup=lookup,
+            gather=partial(csr_gather, g),
+            link_matrix=partial(self._case4_matrix, force=engine == "bitset"),
+            row_pos=self._ig.row_pos,
+            fallback=lambda s4, t4, budget: case4_chunked(
+                g, s4, t4, lookup, budget, self.query
+            ),
+        )
+        return verdicts[inverse]
 
     def _case4_matrix(self, *, force: bool = False) -> np.ndarray | None:
         """The Case-4 link matrix, or None when it exceeds the memory gate.
@@ -723,40 +670,14 @@ class KReachIndex:
         Row ``i`` holds the cover vertices reachable from
         ``cover_ids[i]`` within budget ``k-2`` (any stored link for
         n-reach), with the diagonal standing in for the ``u == v``
-        handshake whenever a 2-hop bridge is legal.  Built lazily and
-        cached on the :class:`IndexGraph`.
+        handshake (always legal: Case 4 only runs at ``k >= 2``).  Built
+        lazily and cached on the :class:`IndexGraph`.
         """
         ig = self._ig
         if not force and ig.link_matrix_bytes() > self.bitset_matrix_bytes:
             return None
         budget = None if self.k is None else self.k - 2
-        return ig.link_matrix(budget, diagonal=self._b2_ok)
-
-    def _case4_batch(
-        self,
-        store: KeyedRowStore,
-        s: np.ndarray,
-        t: np.ndarray,
-        budget: np.int64,
-        engine: str,
-    ) -> np.ndarray:
-        """Case-4 verdicts for aligned uncovered (s, t) arrays."""
-        if engine != "chunked":
-            matrix = self._case4_matrix(force=engine == "bitset")
-            if matrix is not None:
-                return case4_bitset_join(
-                    self.graph, s, t, matrix, self._ig.row_pos()
-                )
-        res = np.zeros(len(s), dtype=bool)
-        big, chunks = plan_cross_products(self.graph, s, t)
-        for sub, u, v, owner in chunks:
-            hit = store.lookup(u, v) <= budget
-            if self._b2_ok:
-                hit |= u == v  # the s -> u -> t handshake
-            res[sub] |= segment_any(hit, owner, len(sub))
-        for j in big.tolist():  # hub×hub pairs: scalar path short-circuits
-            res[j] = self.query(int(s[j]), int(t[j]))
-        return res
+        return ig.link_matrix(budget, diagonal=True)
 
     def query_case_batch(self, pairs) -> np.ndarray:
         """Vectorized :meth:`query_case`: an ``(m,)`` uint8 array of 1–4."""

@@ -90,8 +90,7 @@ from multiprocessing import sharedctypes
 import numpy as np
 
 from repro import faults, native
-from repro.core.batch import as_pair_arrays, case_codes
-from repro.core.kreach import _ENGINES
+from repro.core.batch import ENGINES, as_pair_arrays, case_codes
 
 __all__ = [
     "QueryServer",
@@ -450,8 +449,8 @@ class QueryServer:
             raise ValueError(
                 f"slots_per_worker must be >= 1, got {slots_per_worker}"
             )
-        if engine not in _ENGINES:
-            raise ValueError(f"engine must be one of {_ENGINES}, got {engine!r}")
+        if engine not in ENGINES:
+            raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
         from repro.core.serialize import load_mmap
 
         self._path = os.fspath(path)
@@ -914,8 +913,8 @@ class QueryServer:
         own bound, whichever is tighter.
         """
         self._check_open()
-        if engine is not None and engine not in _ENGINES:
-            raise ValueError(f"engine must be one of {_ENGINES}, got {engine!r}")
+        if engine is not None and engine not in ENGINES:
+            raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
         s, t = as_pair_arrays(pairs, self._n)
         ticket = _Ticket(
             self._next_ticket, s, t, _resolve_deadline(timeout, deadline)
@@ -1172,8 +1171,8 @@ class ThreadQueryServer:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if shard_pairs < 1:
             raise ValueError(f"shard_pairs must be >= 1, got {shard_pairs}")
-        if engine not in _ENGINES:
-            raise ValueError(f"engine must be one of {_ENGINES}, got {engine!r}")
+        if engine not in ENGINES:
+            raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
         from repro.core.serialize import load_mmap
 
         self._path = os.fspath(path)
@@ -1275,8 +1274,8 @@ class ThreadQueryServer:
         ``collect`` honors (see :class:`QueryTimeout`).
         """
         self._check_open()
-        if engine is not None and engine not in _ENGINES:
-            raise ValueError(f"engine must be one of {_ENGINES}, got {engine!r}")
+        if engine is not None and engine not in ENGINES:
+            raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
         s, t = as_pair_arrays(pairs, self._n)
         ticket = _Ticket(
             self._next_ticket, s, t, _resolve_deadline(timeout, deadline)

@@ -189,9 +189,9 @@ def celebrity_crossfire_digraph(
     brokers therefore form a vertex cover, every celebrity stays
     uncovered, and a celebrity-to-celebrity query is always Algorithm 2's
     Case 4 with a ``degree × degree`` neighbor cross product — the
-    hub×hub workload that forces the chunked batch engine to materialize
-    (or spill on) enormous products while the bitset join pays only
-    O(degree) word operations per endpoint.
+    hub×hub workload that forces the chunked gate-miss fallback to
+    materialize (or spill on) enormous products while the bitset join
+    pays only O(degree) word operations per endpoint.
     """
     if brokers < 1 or celebrities < 0 or degree < 1:
         raise ValueError("need brokers >= 1, celebrities >= 0, degree >= 1")

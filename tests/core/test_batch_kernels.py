@@ -3,8 +3,12 @@
 The differential suite pins end-to-end equivalence; these tests target
 the kernels' edge cases directly — chunk splitting, the big-pair
 spill-over, empty stores/probes — which small test graphs never reach
-through the index APIs.
+through the index APIs.  :class:`TestFourCaseBatch` drives the
+Algorithm-2 driver itself, with hand-wired callbacks and through every
+index family that runs it.
 """
+
+from functools import partial
 
 import numpy as np
 import pytest
@@ -13,14 +17,22 @@ from repro.core.batch import (
     MISSING_WEIGHT,
     KeyedRowStore,
     as_pair_arrays,
+    case4_chunked,
+    case_codes,
+    csr_gather,
+    four_case_batch,
     gather_segments,
     has_edge_batch,
     plan_cross_products,
     segment_any,
 )
+from repro.core.dynamic import DynamicKReachIndex
+from repro.core.general_k import CoverDistanceOracle
+from repro.core.kreach import KReachIndex
 from repro.core.rowstore import CompressedRow
 from repro.graph.digraph import DiGraph
-from repro.graph.generators import gnp_digraph
+from repro.graph.generators import gnp_digraph, paper_example_graph
+from repro.graph.traversal import reaches_within_bfs
 
 
 class TestAsPairArrays:
@@ -206,3 +218,98 @@ class TestCoalescePairs:
         empty = np.empty(0, dtype=np.int64)
         us, ut, inv = coalesce_pairs(empty, empty, 5, codes=empty)
         assert len(us) == 0 and len(ut) == 0 and len(inv) == 0
+
+
+def all_pairs(n: int) -> np.ndarray:
+    return np.array([(s, t) for s in range(n) for t in range(n)], dtype=np.int64)
+
+
+def bfs_verdicts(g: DiGraph, pairs: np.ndarray, k: int | None) -> np.ndarray:
+    return np.array(
+        [reaches_within_bfs(g, int(s), int(t), k) for s, t in pairs.tolist()],
+        dtype=bool,
+    )
+
+
+class TestFourCaseBatch:
+    """:func:`four_case_batch` against the BFS oracle."""
+
+    @staticmethod
+    def wire(k, *, gated, fallback_calls):
+        """Callbacks over the paper's example index (cover {b, d, g, i})."""
+        g = paper_example_graph()
+        cover = frozenset(g.vertex_id(x) for x in "bdgi")
+        idx = KReachIndex(g, k, cover=cover)
+        lookup = idx._keyed().lookup
+
+        def fallback(s, t, budget):
+            fallback_calls.append(len(s))
+            return case4_chunked(g, s, t, lookup, budget, idx.query)
+
+        return g, idx, {
+            "flags": idx._flags(),
+            "lookup": lookup,
+            "gather": partial(csr_gather, g),
+            "link_matrix": (lambda: None) if gated else idx._case4_matrix,
+            "row_pos": idx.index_graph.row_pos,
+            "fallback": fallback,
+        }
+
+    @pytest.mark.parametrize("gated", [False, True])
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, None])
+    def test_paper_example_all_pairs(self, k, gated):
+        calls = []
+        g, idx, callbacks = self.wire(k, gated=gated, fallback_calls=calls)
+        pairs = all_pairs(g.n)
+        s, t = pairs[:, 0], pairs[:, 1]
+        codes = case_codes(idx._flags()[s], idx._flags()[t])
+        assert set(codes[s != t].tolist()) == {1, 2, 3, 4}
+        got = four_case_batch(s, t, k, **callbacks)
+        assert got.dtype == bool and got.shape == (len(pairs),)
+        assert np.array_equal(got, bfs_verdicts(g, pairs, k)), k
+        # The fallback answers Case 4 only past the gate, and never when
+        # no 2-hop bridge fits the budget.
+        assert bool(calls) == (gated and (k is None or k >= 2))
+
+    def test_empty_batch(self):
+        _, _, callbacks = self.wire(3, gated=False, fallback_calls=[])
+        empty = np.empty(0, dtype=np.int64)
+        out = four_case_batch(empty, empty, 3, **callbacks)
+        assert out.shape == (0,) and out.dtype == bool
+
+    @pytest.mark.parametrize("gate", [None, 0])
+    def test_every_family_matches_bfs(self, gate):
+        """Static dense and WAH, dynamic after edits, and the oracle all
+        run the driver; with the default gate and with a zero gate each
+        must equal bounded BFS."""
+        g = gnp_digraph(40, 0.06, seed=21)
+        kwargs = {} if gate is None else {"bitset_matrix_bytes": gate}
+        pairs = all_pairs(g.n)
+        oracle = CoverDistanceOracle(g, **kwargs)
+        for k in (0, 1, 2, 3, 6, None):
+            expected = bfs_verdicts(g, pairs, k)
+            dense = KReachIndex(g, k, **kwargs)
+            wah = KReachIndex(g, k, cover=dense.cover, storage="wah", **kwargs)
+            assert np.array_equal(dense.query_batch(pairs), expected), k
+            assert np.array_equal(wah.query_batch(pairs), expected), k
+            verdicts = (
+                oracle.reaches_batch(pairs)
+                if k is None
+                else oracle.reaches_within_batch(pairs, k)
+            )
+            assert np.array_equal(verdicts, expected), k
+
+            dyn = DynamicKReachIndex(g, k, auto_compact=False, **kwargs)
+            uncovered = sorted(set(range(g.n)) - set(dyn.base.cover))
+            # Inserts between uncovered vertices grow the cover; deletes
+            # dirty the adjacency of base-snapshot vertices.
+            for u, v in zip(uncovered[::2], uncovered[1::2][:4]):
+                dyn.insert_edge(u, v)
+            for u, v in list(g.edges())[:6]:
+                dyn.delete_edge(int(u), int(v))
+            assert dyn.cover_size > dyn.base.cover_size
+            assert dyn.overlay_rows or dyn.pending_ops
+            current = dyn.to_digraph()
+            assert np.array_equal(
+                dyn.query_batch(pairs), bfs_verdicts(current, pairs, k)
+            ), k

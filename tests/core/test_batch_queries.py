@@ -12,6 +12,7 @@ is an index bug.
 import numpy as np
 import pytest
 
+import repro.core.kreach as kreach_module
 from repro.core.general_k import (
     INFINITE_DISTANCE,
     CoverDistanceOracle,
@@ -194,11 +195,14 @@ class TestDeduplicatedDispatch:
         dup = base[rng.integers(0, len(base), size=2500)]
         for k in (2, 6, None):
             idx = KReachIndex(g, k)
+            gated = KReachIndex(g, k, cover=idx.cover, bitset_matrix_bytes=0)
             expected = idx.query_batch(dup, engine="scalar")
-            for engine in ("auto", "bitset", "chunked"):
+            for engine in ("auto", "bitset"):
                 assert np.array_equal(
                     idx.query_batch(dup, engine=engine), expected
                 ), (k, engine)
+            # The gate-miss fallback (chunked cross products).
+            assert np.array_equal(gated.query_batch(dup), expected), k
 
     def test_duplicate_heavy_hkreach(self):
         g = gnp_digraph(40, 0.1, seed=42)
@@ -215,13 +219,13 @@ class TestDeduplicatedDispatch:
         idx = KReachIndex(g, 6)
         dup = np.tile(np.array([[1, 2], [3, 4]], dtype=np.int64), (500, 1))
         seen = {}
-        original = KReachIndex._query_batch_arrays
+        original = kreach_module.four_case_batch
 
-        def spy(self, s, t, engine):
+        def spy(s, t, k, **callbacks):
             seen["m"] = len(s)
-            return original(self, s, t, engine)
+            return original(s, t, k, **callbacks)
 
-        monkeypatch.setattr(KReachIndex, "_query_batch_arrays", spy)
+        monkeypatch.setattr(kreach_module, "four_case_batch", spy)
         out = idx.query_batch(dup)
         assert seen["m"] == 2  # kernels saw only the distinct pairs
         assert len(out) == len(dup)

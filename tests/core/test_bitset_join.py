@@ -2,15 +2,16 @@
 
 Pins, across power-law "celebrity" graphs and the hub×hub crossfire
 scenario the paper's §1 opens with, that every query engine agrees bit
-for bit: the bitset join, the chunked cross-product path (including its
-forced hub spill), the per-pair scalar walks, and the BFS ground-truth
-oracle — for KReach and HKReach alike, over k ∈ {0, 1, 2, 6, None}.
+for bit: the bitset join, the chunked cross-product fallback a
+``bitset_matrix_bytes=0`` index takes (including its forced hub spill),
+the per-pair scalar walks, and the BFS ground-truth oracle — for KReach
+and HKReach alike, over k ∈ {0, 1, 2, 6, None}.
 """
 
 import numpy as np
 import pytest
 
-import repro.core.kreach as kreach_module
+import repro.core.batch as batch_module
 from repro.bitsets.ops import (
     and_any,
     bit_matrix,
@@ -51,9 +52,10 @@ class TestKReachEngines:
     def test_bitset_equals_chunked_scalar_and_oracle(self, seed, k):
         g = celebrity_graph(seed)
         idx = KReachIndex(g, k)
+        gated = KReachIndex(g, k, cover=idx.cover, bitset_matrix_bytes=0)
         pairs = workload(g, seed)
         bitset = idx.query_batch(pairs, engine="bitset")
-        chunked = idx.query_batch(pairs, engine="chunked")
+        chunked = gated.query_batch(pairs)
         scalar = idx.query_batch(pairs, engine="scalar")
         assert np.array_equal(bitset, chunked)
         assert np.array_equal(bitset, scalar)
@@ -67,19 +69,20 @@ class TestKReachEngines:
         g = celebrity_crossfire_digraph(60, 12, 30, seed=3)
         cover = frozenset(range(60))
         idx = KReachIndex(g, k, cover=cover)
+        gated = KReachIndex(g, k, cover=cover, bitset_matrix_bytes=0)
         rng = np.random.default_rng(3)
         pairs = rng.integers(60, g.n, size=(300, 2), dtype=np.int64)
         assert np.all(idx.query_case_batch(pairs)[pairs[:, 0] != pairs[:, 1]] == 4)
         bitset = idx.query_batch(pairs, engine="bitset")
-        chunked = idx.query_batch(pairs, engine="chunked")
+        chunked = gated.query_batch(pairs)
         assert np.array_equal(bitset, chunked)
         # Shrink the chunk so every non-trivial product takes the spill.
         monkeypatch.setattr(
-            kreach_module,
+            batch_module,
             "plan_cross_products",
             lambda graph, s, t: plan_cross_products(graph, s, t, chunk=4),
         )
-        spilled = idx.query_batch(pairs, engine="chunked")
+        spilled = gated.query_batch(pairs)
         assert np.array_equal(bitset, spilled)
         for (s, t), got in list(zip(pairs, bitset))[:60]:
             assert got == reaches_within_bfs(g, int(s), int(t), k)
@@ -111,13 +114,14 @@ class TestKReachEngines:
         def boom(*args, **kwargs):  # pragma: no cover - guard
             raise AssertionError("cross-product planner reached on auto path")
 
-        monkeypatch.setattr(kreach_module, "plan_cross_products", boom)
+        monkeypatch.setattr(batch_module, "plan_cross_products", boom)
         assert idx.query_batch(pairs).shape == (200,)
 
     def test_engine_validation(self):
         idx = KReachIndex(paper_example_graph(), 3)
-        with pytest.raises(ValueError):
-            idx.query_batch([(0, 1)], engine="warp")
+        for engine in ("warp", "chunked"):
+            with pytest.raises(ValueError):
+                idx.query_batch([(0, 1)], engine=engine)
 
 
 class TestHKReachEngines:
@@ -163,8 +167,9 @@ class TestHKReachEngines:
 
     def test_engine_validation(self):
         idx = HKReachIndex(paper_example_graph(), 2, 5)
-        with pytest.raises(ValueError):
-            idx.query_batch([(0, 1)], engine="warp")
+        for engine in ("warp", "chunked"):
+            with pytest.raises(ValueError):
+                idx.query_batch([(0, 1)], engine=engine)
 
 
 class TestOracleBitsetJoin:

@@ -307,7 +307,11 @@ class TestReadOnlyServing:
     def test_engine_matrix(self, tmp_path, k, engine):
         g = gnp_digraph(45, 0.09, seed=9)
         index = KReachIndex(g, k)
-        loaded = load_mmap(saved(tmp_path, index), mode="r")
+        # 'chunked' is the gate-miss fallback: auto with the gate shut.
+        gate = {"bitset_matrix_bytes": 0} if engine == "chunked" else {}
+        if engine == "chunked":
+            engine = "auto"
+        loaded = load_mmap(saved(tmp_path, index), mode="r", **gate)
         # The mapped arrays really are read-only...
         ig = loaded.index_graph
         for arr in (ig.cover_ids, ig.indptr, ig.targets, ig.packed.words,

@@ -147,7 +147,7 @@ class TestDifferential:
         index, path = serve_file(tmp_path, graph, 6)
         expected = index.query_batch(pairs)
         with QueryServer(path, workers=2) as server:
-            for engine in ("scalar", "bitset", "chunked"):
+            for engine in ("scalar", "bitset", "native"):
                 assert np.array_equal(
                     server.query_batch(pairs, engine=engine), expected
                 ), engine
@@ -170,8 +170,9 @@ class TestApiContract:
     def test_unknown_engine_raises(self, tmp_path, graph):
         _, path = serve_file(tmp_path, graph, 2)
         with QueryServer(path, workers=1) as server:
-            with pytest.raises(ValueError, match="engine"):
-                server.submit([(0, 1)], engine="warp")
+            for engine in ("warp", "chunked"):
+                with pytest.raises(ValueError, match="engine"):
+                    server.submit([(0, 1)], engine=engine)
 
     def test_unknown_default_engine_rejected_at_construction(self, tmp_path, graph):
         _, path = serve_file(tmp_path, graph, 2)

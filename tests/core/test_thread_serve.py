@@ -134,14 +134,16 @@ class TestLifecycleAndErrors:
             ThreadQueryServer(path, workers=0)
         with pytest.raises(ValueError, match="shard_pairs"):
             ThreadQueryServer(path, shard_pairs=0)
-        with pytest.raises(ValueError, match="engine"):
-            ThreadQueryServer(path, engine="warp")
+        for engine in ("warp", "chunked"):
+            with pytest.raises(ValueError, match="engine"):
+                ThreadQueryServer(path, engine=engine)
 
     def test_submit_rejects_bad_engine_and_pairs(self, tmp_path, graph):
         _, path = serve_file(tmp_path, graph, 2)
         with ThreadQueryServer(path, workers=1) as server:
-            with pytest.raises(ValueError, match="engine"):
-                server.submit([(0, 1)], engine="warp")
+            for engine in ("warp", "chunked"):
+                with pytest.raises(ValueError, match="engine"):
+                    server.submit([(0, 1)], engine=engine)
             with pytest.raises(ValueError):
                 server.submit([(0, graph.n + 5)])
 

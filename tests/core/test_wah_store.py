@@ -34,7 +34,7 @@ from repro.graph.generators import (
     star_graph,
 )
 
-ENGINES = ("auto", "bitset", "chunked", "scalar", "native")
+ENGINES = ("auto", "bitset", "scalar", "native")
 
 
 def random_bits(size, density, seed):
@@ -165,6 +165,8 @@ class TestWahIndexParity:
             for engine in ENGINES:
                 got = wah.query_batch(pairs, engine=engine)
                 assert np.array_equal(ref, got), (g.n, k, engine)
+            wah.bitset_matrix_bytes = 0  # the gate-miss (chunked) fallback
+            assert np.array_equal(ref, wah.query_batch(pairs)), (g.n, k)
 
     def test_scalar_query_matches_dense(self):
         g = gnp_digraph(60, 0.08, seed=11)
@@ -198,6 +200,8 @@ class TestWahSerialization:
         ref = wah.query_batch(pairs)
         for engine in ENGINES:
             assert np.array_equal(ref, loaded.query_batch(pairs, engine=engine))
+        gated = load_mmap(path, bitset_matrix_bytes=0)
+        assert np.array_equal(ref, gated.query_batch(pairs))
 
     def test_wah_file_smaller_than_dense(self, tmp_path):
         g = gnp_digraph(300, 0.04, seed=16)
